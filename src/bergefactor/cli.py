@@ -12,12 +12,12 @@ import sys
 from pathlib import Path
 
 from .budget import BudgetExceededError
-from .factor_solver import find_2k_factor, find_berge_k_factor
+from .factor_solver import berge_pairs, find_2k_factor, find_berge_k_factor
 from .formats import (FormatError, load_barrier, load_bipartite,
                       load_certificate, load_hypergraph, serialize_bar,
                       serialize_big, serialize_bkf)
 from .harness import ExhaustiveMode, RandomMode, tightness_search, verify_theorem
-from .hypergraph import BergeFactorCertificate, toughness, verify_berge_factor
+from .hypergraph import toughness, verify_berge_factor
 from .incidence import incidence_graph, y_toughness
 from .parity_criterion import (DegreeSpec, FactorExistsError,
                                check_barrier_structure, decide_by_criterion,
@@ -68,11 +68,9 @@ def _cmd_barrier(args) -> int:
         if biased:
             br = find_biased_barrier(g, spec, args.enum_budget)
         else:
-            res = decide_by_criterion(g, spec, args.enum_budget)
-            if res.exists:
+            br = decide_by_criterion(g, spec, args.enum_budget).barrier
+            if br is None:
                 raise FactorExistsError
-            br = res.barrier
-            assert br is not None
     except FactorExistsError:
         print(f"no barrier: a (2,{args.k})-factor exists")
         return 1
@@ -90,14 +88,6 @@ def _cmd_barrier(args) -> int:
     return 0 if report.ok else 1
 
 
-def _factor_pairs(factor) -> BergeFactorCertificate:
-    by_edge: dict[int, list[int]] = {}
-    for x, y in factor.edges:
-        by_edge.setdefault(x, []).append(y)
-    return BergeFactorCertificate.make(
-        factor.k, [(x, (ys[0], ys[1])) for x, ys in by_edge.items()])
-
-
 def _cmd_factor(args) -> int:
     trace = print if args.trace else None
     path = Path(args.file)
@@ -108,7 +98,7 @@ def _cmd_factor(args) -> int:
     else:
         g = load_bipartite(path)
         factor = find_2k_factor(g, DegreeSpec(args.k), trace=trace)
-        cert = None if factor is None else _factor_pairs(factor)
+        cert = None if factor is None else berge_pairs(factor)
     if cert is not None:
         text = serialize_bkf(cert)
         if args.output:
@@ -211,7 +201,8 @@ def _cmd_tightness(args) -> int:
         if res.best_tau is None:
             print("best: none found")
         else:
-            assert res.instance is not None and res.barrier is not None
+            if res.instance is None or res.barrier is None:
+                raise RuntimeError("tightness result has a tau but no instance")
             print(f"best tau: {res.best_tau.numerator}/{res.best_tau.denominator}")
             print(f"instance: n={res.instance.n} edges={list(res.instance.edges)}")
             print(f"barrier delta={res.barrier.delta}")

@@ -125,70 +125,42 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasibl
     return GadgetGraph(GeneralGraph(len(infos), edges), tuple(infos), inter)
 
 
-def _assert_parity_law(g: BipartiteGraph, gadget: GadgetGraph,
-                       matched: set[tuple[int, int]], k: int) -> None:
-    """Every host vertex's count of across-matched outers must land in
-    its allowed degree set {g_eff, g_eff+2, ..., f_eff}."""
-    nx = g.x_count
-    across: dict[int, int] = {}
-    for (hx, hy), ge in gadget.inter_edges.items():
-        if tuple(sorted(ge)) in matched:
-            across[hx] = across.get(hx, 0) + 1
-            across[hy] = across.get(hy, 0) + 1
-    for x in range(nx):
-        allowed = (0, 2) if len(g.neighbors[x]) >= 2 else (0,)
-        got = across.get(x, 0)
-        assert got in allowed, \
-            f"parity law broken at X-vertex {x}: {got} across-matched outers"
-    for j in range(g.y_count):
-        got = across.get(nx + j, 0)
-        assert got == k, \
-            f"parity law broken at Y-vertex {j}: {got} across-matched outers, want {k}"
-
-
 def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
-                   trace: Callable[[str], None] | None = None,
-                   cross_check: bool = False) -> FactorSubgraph | None:
+                   trace: Callable[[str], None] | None = None
+                   ) -> FactorSubgraph | None:
     """Search for a (2,k)-factor of the host graph; None when there is
-    none.  `trace` receives progress lines; `cross_check` re-decides
-    existence through the deficiency criterion and insists both routes
-    agree (exponential, for debugging only)."""
+    none.  A factor read off the matching is checked by
+    `verify_2k_factor` before it is returned.  `trace` receives
+    progress lines."""
     gadget = build_gadget(g, spec)
     if isinstance(gadget, Infeasible):
         if trace:
             trace(f"gadget: Y-vertex {gadget.y} has degree "
                   f"{gadget.degree} < k = {gadget.k}, no factor")
-        result = None
-    else:
-        gg = gadget.graph
+        return None
+    gg = gadget.graph
+    if trace:
+        trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
+              f"({len(gadget.inter_edges)} inter-gadget)")
+    matching = max_matching(gg)
+    if trace:
+        trace(f"matching: {len(matching)} edges, perfect needs {gg.n // 2}"
+              f" (n {'even' if gg.n % 2 == 0 else 'odd'})")
+    if 2 * len(matching) != gg.n:
         if trace:
-            trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
-                  f"({len(gadget.inter_edges)} inter-gadget)")
-        matching = max_matching(gg)
-        if trace:
-            trace(f"matching: {len(matching)} edges, perfect needs {gg.n // 2}"
-                  f" (n {'even' if gg.n % 2 == 0 else 'odd'})")
-        if 2 * len(matching) != gg.n:
-            if trace:
-                trace("no perfect matching: factor does not exist")
-            result = None
-        else:
-            matched = set(matching.edges)
-            _assert_parity_law(g, gadget, matched, spec.k)
-            chosen = [(he[0], he[1] - g.x_count)
-                      for he, ge in gadget.inter_edges.items()
-                      if tuple(sorted(ge)) in matched]
-            result = FactorSubgraph.make(spec.k, chosen)
-            verdict = verify_2k_factor(g, result)
-            assert verdict, f"gadget extraction produced a bad factor: {verdict.reason}"
-            if trace:
-                trace(f"extraction: {len(chosen)} host edges selected")
-    if cross_check:
-        from .parity_criterion import decide_by_criterion
-        agreed = decide_by_criterion(g, spec).exists
-        assert agreed == (result is not None), (
-            "criterion and matching routes disagree: "
-            f"criterion says {agreed}, solver says {result is not None}")
+            trace("no perfect matching: factor does not exist")
+        return None
+    matched = set(matching.edges)
+    chosen = [(he[0], he[1] - g.x_count)
+              for he, ge in gadget.inter_edges.items()
+              if tuple(sorted(ge)) in matched]
+    result = FactorSubgraph.make(spec.k, chosen)
+    verdict = verify_2k_factor(g, result)
+    if not verdict:
+        raise RuntimeError(
+            f"gadget extraction produced a bad factor: {verdict.reason}")
+    if trace:
+        trace(f"extraction: {len(chosen)} host edges selected")
     return result
 
 
@@ -219,10 +191,11 @@ def verify_2k_factor(g: BipartiteGraph, factor: FactorSubgraph) -> Verdict:
     return Verdict(True)
 
 
-def lift_to_berge(h: Hypergraph, factor: FactorSubgraph) -> BergeFactorCertificate:
-    """Convert a (2,k)-factor of the incidence graph of `h` into a Berge
-    k-factor certificate: each hyperedge used with incidence degree 2
-    contributes the pair of its two selected vertices."""
+def berge_pairs(factor: FactorSubgraph) -> BergeFactorCertificate:
+    """Read a Berge k-factor certificate off a (2,k)-factor of an
+    incidence graph: each X-vertex (hyperedge) of degree 2 contributes
+    the pair of its two selected Y-vertices.  Nothing is checked
+    against a hypergraph here; see `lift_to_berge`."""
     by_edge: dict[int, list[int]] = {}
     for x, y in factor.edges:
         by_edge.setdefault(x, []).append(y)
@@ -231,7 +204,13 @@ def lift_to_berge(h: Hypergraph, factor: FactorSubgraph) -> BergeFactorCertifica
         if len(vs) != 2:
             raise ValueError(f"hyperedge {e} selected with degree {len(vs)}, want 2")
         pairs.append((e, (vs[0], vs[1])))
-    cert = BergeFactorCertificate.make(factor.k, pairs)
+    return BergeFactorCertificate.make(factor.k, pairs)
+
+
+def lift_to_berge(h: Hypergraph, factor: FactorSubgraph) -> BergeFactorCertificate:
+    """Convert a (2,k)-factor of the incidence graph of `h` into a Berge
+    k-factor certificate and verify it against `h`."""
+    cert = berge_pairs(factor)
     verdict = verify_berge_factor(h, cert)
     if not verdict:
         raise ValueError(f"lifted certificate is invalid: {verdict.reason}")

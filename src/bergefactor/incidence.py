@@ -14,13 +14,10 @@ first: x_i has id i, y_j has id x_count + j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from . import budget as _budget
-from ._bits import bit_tuple
-from .hypergraph import Hypergraph, ToughnessValue, _find
+from .hypergraph import Hypergraph, ToughnessValue, _find, toughness
 
 
 class BipartiteGraph:
@@ -52,28 +49,6 @@ class BipartiteGraph:
             for y in nbrs:
                 rev[y].append(x)
         return tuple(tuple(r) for r in rev)
-
-    @cached_property
-    def x_masks(self) -> tuple[int, ...]:
-        """Per X-vertex: bitmask of Y-neighbors (bit j = y_j)."""
-        out = []
-        for nbrs in self.neighbors:
-            m = 0
-            for y in nbrs:
-                m |= 1 << y
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
-    def y_masks(self) -> tuple[int, ...]:
-        """Per Y-vertex: bitmask of X-neighbors (bit i = x_i)."""
-        out = []
-        for xs in self.y_neighbors:
-            m = 0
-            for x in xs:
-                m |= 1 << x
-            out.append(m)
-        return tuple(out)
 
     @property
     def has_isolated_x(self) -> bool:
@@ -170,54 +145,9 @@ def bipartite_components(g: BipartiteGraph
 def y_toughness(g: BipartiteGraph, budget: int | None = None) -> ToughnessValue:
     """Toughness over Y-cutsets under strong deletion: the minimum
     |S| / c(G (-) S) over S inside Y leaving at least two components.
-    Witness indices are Y-local (hypergraph vertex numbers).  Requires a
-    graph without isolated X-vertices, so every surviving component
-    contains a Y-vertex."""
-    if g.has_isolated_x:
-        raise ValueError("Y-toughness needs a graph without isolated X-vertices")
-    if g.y_count < 1:
-        raise ValueError("Y-toughness needs at least one Y-vertex")
-    limit = _budget.resolve(budget, _budget.DEFAULT_VERTEX_BUDGET)
-    _budget.check("Y-toughness", g.y_count, limit)
-    nx, ny = g.x_count, g.y_count
-    y_masks = g.y_masks
-    neighbors = g.neighbors
-    bn = 0
-    bd = 0
-    best_size = -1
-    best_mask = 0
-    for s_mask in range(1 << ny):
-        dead = 0
-        m = s_mask
-        while m:
-            low = m & -m
-            m ^= low
-            dead |= y_masks[low.bit_length() - 1]
-        count = (nx - dead.bit_count()) + (ny - s_mask.bit_count())
-        if count < 2:
-            continue
-        parent = list(range(nx + ny))
-        for x in range(nx):
-            if (dead >> x) & 1:
-                continue
-            a = _find(parent, x)
-            # Every neighbor of a surviving X-vertex survives.
-            for y in neighbors[x]:
-                b = _find(parent, nx + y)
-                if b != a:
-                    parent[b] = a
-                    count -= 1
-        if count < 2:
-            continue
-        size = s_mask.bit_count()
-        if bd == 0 or size * bd < bn * count:
-            bn, bd = size, count
-            best_size, best_mask = size, s_mask
-        elif size * bd == bn * count:
-            if size < best_size or (size == best_size
-                                    and bit_tuple(s_mask) < bit_tuple(best_mask)):
-                bn, bd = size, count
-                best_size, best_mask = size, s_mask
-    if bd == 0:
-        return ToughnessValue(None, None)
-    return ToughnessValue(Fraction(bn, bd), bit_tuple(best_mask))
+    Every surviving X-vertex keeps all its Y-neighbors, so this is the
+    toughness of the represented hypergraph, and it is computed as
+    such; witness indices are Y-local (hypergraph vertex numbers).
+    Graphs with isolated X-vertices represent no hypergraph and are
+    rejected."""
+    return toughness(hypergraph_of(g), budget)

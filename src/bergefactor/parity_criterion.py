@@ -248,7 +248,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     evaluated = 0
     odd_deltas = 0
     best_d = best_nb = best_na = 0  # seeded below by the first pair
-    have_best = False
     best_state: tuple[int, int, list[int]] | None = None  # (c_mask, bi, ys)
     best_lex: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
@@ -315,17 +314,15 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             dlt = const + sw - odd_mask.bit_count()
             odd_deltas += dlt & 1
             na = c_size - nb
-            if (not have_best or dlt < best_d
+            if (best_state is None or dlt < best_d
                     or (dlt == best_d
                         and (nb < best_nb
                              or (nb == best_nb and na > best_na)))):
-                have_best = True
                 best_d, best_nb, best_na = dlt, nb, na
                 best_state = (c_mask, cur, ys)
                 best_lex = None
             elif dlt == best_d and nb == best_nb and na == best_na:
                 if best_lex is None:
-                    assert best_state is not None
                     best_lex = lex_of(*best_state)
                 cand = lex_of(c_mask, cur, ys)
                 if cand < best_lex:
@@ -344,7 +341,8 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 sw -= wts[j]
                 nb -= 1
             odd_mask ^= affect[j]
-    assert best_state is not None  # the (empty, empty) pair is always scanned
+    if best_state is None:  # the (empty, empty) pair is always scanned
+        raise RuntimeError("deficiency scan evaluated no pair")
     c_mask, bi, ys = best_state
     b_ids = tuple(ys[j] for j in bit_tuple(bi))
     a_ids = bit_tuple(c_mask ^ mask_of(b_ids))
@@ -407,7 +405,9 @@ def find_biased_barrier(g: BipartiteGraph, spec: DegreeSpec,
     if scan.min_delta >= 0:
         raise FactorExistsError("graph has a (2,k)-factor")
     rec = delta(g, scan.best_a, scan.best_b, spec)
-    assert rec.delta == scan.min_delta
+    if rec.delta != scan.min_delta:
+        raise RuntimeError(f"biased pair re-evaluates to delta {rec.delta}, "
+                           f"scan found {scan.min_delta}")
     return rec
 
 

@@ -128,11 +128,13 @@ def test_solver_agrees_with_criterion_random():
 
 
 def test_cross_check_mode_runs():
-    g = incidence_graph(cycle(4))
-    f = find_2k_factor(g, DegreeSpec(2), cross_check=True)
-    assert f is not None
-    assert find_2k_factor(incidence_graph(star(3)), DegreeSpec(1),
-                          cross_check=True) is None
+    """The matching route and the deficiency criterion agree on a
+    factorable and a factor-less instance."""
+    for h, k, exists in ((cycle(4), 2, True), (star(3), 1, False)):
+        g = incidence_graph(h)
+        found = find_2k_factor(g, DegreeSpec(k)) is not None
+        assert found == exists
+        assert decide_by_criterion(g, DegreeSpec(k)).exists == found
 
 
 def test_trace_lines():
