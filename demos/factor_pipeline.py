@@ -1,8 +1,8 @@
 """From hypergraph to Berge-k-factor, constructively.
 
 The pipeline: take the incidence bipartite graph, expand it into a
-parity gadget whose perfect matchings encode (2,k)-factors, run maximum
-matching, then lift the selected incidences back to (hyperedge, pair)
+split-incidence gadget whose perfect matchings encode (2,k)-factors,
+run maximum matching, then lift the selected incidences back to (hyperedge, pair)
 assignments.  The result is an independently re-checkable certificate.
 
 Run with:  python3 demos/factor_pipeline.py
@@ -31,8 +31,9 @@ def main():
     cert = find_berge_k_factor(p4, 1, trace=lambda line: print(f"  | {line}"))
     print(f"  certificate: {cert.pairs}")
 
-    # The gadget itself is inspectable: each host vertex becomes a
-    # cluster sized by its degree and its parity targets.
+    # The gadget itself is inspectable: each incidence becomes an edge
+    # between two ends, each hyperedge a pair joined to its ends, and
+    # each vertex k copies joined to its ends.
     g = incidence_graph(p4)
     gadget = build_gadget(g, DegreeSpec(1))
     print(f"  gadget: {gadget.graph.n} vertices, "

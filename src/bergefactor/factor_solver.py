@@ -1,17 +1,21 @@
 """Constructive (2,k)-factor search via reduction to perfect matching.
 
-Each host vertex becomes a gadget: one outer vertex per incident edge,
-`degree - f` core vertices joined to every outer, and `(f - g) / 2`
-slack pairs whose two ends are joined to each other and to every outer.
-A host edge becomes a single edge between the two outer vertices that
-represent it.  In a perfect matching, cores absorb exactly `degree - f`
-outers and each slack pair absorbs 0 or 2 more, so the host edges whose
-inter-gadget edge is matched form a spanning subgraph with degree in
-{g, g+2, ..., f} at every host vertex.  With targets (0, 2) on X and
-(k, k) on Y that is exactly a (2,k)-factor.
+The split-incidence gadget: each host incidence (x, y) becomes an edge
+between two incidence ends, e_x owned by x and e_y owned by y.  Each
+X-vertex becomes a pair of vertices joined to each other and to every
+one of its ends e_x; each Y-vertex becomes k copies, each joined to
+every one of its ends e_y.  In a perfect matching an end e_y is matched
+either to e_x or to a copy of y, and the k copies take exactly k ends.
+An end e_x is matched either to e_y or into the pair of x, and the pair
+takes 0 ends (matched to each other) or 2.  So the incidences whose
+e_x-e_y edge is left unmatched are selected: exactly k at each Y-vertex
+and 0 or 2 at each X-vertex, which is a (2,k)-factor, and every factor
+arises this way.  An X-vertex of degree 1 cannot fill its pair and takes
+degree 0.
 
-X-vertices of host degree < 2 get clamped targets (0, 0); a Y-vertex of
-host degree < k makes the instance infeasible outright.
+The gadget has 2|E| + 2|X| + k|Y| vertices and (k+3)|E| + |X| edges for
+|E| incidences.  A Y-vertex of host degree < k makes the instance
+infeasible outright.
 """
 
 from __future__ import annotations
@@ -24,16 +28,16 @@ from .incidence import BipartiteGraph, incidence_graph
 from .matching import GeneralGraph, max_matching
 from .parity_criterion import DegreeSpec
 
-OUTER = "outer"
-CORE = "core"
-SLACK_P = "slack_p"
-SLACK_Q = "slack_q"
+X_END = "x_end"
+Y_END = "y_end"
+X_PAIR = "x_pair"
+Y_COPY = "y_copy"
 
 
 @dataclass(frozen=True)
 class VertexInfo:
     """Gadget vertex provenance: owning host vertex (global id), role,
-    and for outers the host edge carried."""
+    and for incidence ends the host edge carried."""
 
     host: int
     role: str
@@ -51,6 +55,9 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class GadgetGraph:
+    """The matching gadget; `inter_edges` maps each host edge (x, nx + y)
+    to its incidence edge (e_x, e_y) in the gadget."""
+
     graph: GeneralGraph
     vertices: tuple[VertexInfo, ...]
     inter_edges: dict[tuple[int, int], tuple[int, int]]
@@ -70,8 +77,10 @@ class FactorSubgraph:
 
 
 def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasible:
-    """Expand the host graph into the matching gadget, or report the
-    first Y-vertex (by index) that is infeasibly sparse."""
+    """Expand the host graph into the split-incidence gadget, or report
+    the first Y-vertex (by index) that is infeasibly sparse.  Vertex ids
+    follow host-vertex order: each host vertex's incidence ends, in
+    neighbor order, then its pair or its copies."""
     nx = g.x_count
     k = spec.k
     for j in range(g.y_count):
@@ -80,48 +89,34 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasibl
             return Infeasible(j, d, k)
     infos: list[VertexInfo] = []
     edges: list[tuple[int, int]] = []
-    # Outer ids per host edge, filled in host-vertex order so ids are
-    # reproducible; host edges are (x, y) in global coordinates.
-    outer_at: dict[tuple[tuple[int, int], int], int] = {}
+    # Incidence end ids per host edge (x, nx + y), in global coordinates.
+    x_end: dict[tuple[int, int], int] = {}
+    y_end: dict[tuple[int, int], int] = {}
 
-    def expand(host: int, incident: list[tuple[int, int]], g_eff: int, f_eff: int) -> None:
-        d = len(incident)
-        outers = []
+    def add(host: int, role: str, edge: tuple[int, int] | None = None) -> int:
+        infos.append(VertexInfo(host, role, edge))
+        return len(infos) - 1
+
+    def ends(host: int, incident: list[tuple[int, int]], role: str,
+             at: dict[tuple[int, int], int]) -> list[int]:
         for he in incident:
-            vid = len(infos)
-            infos.append(VertexInfo(host, OUTER, he))
-            outer_at[(he, host)] = vid
-            outers.append(vid)
-        for _ in range(d - f_eff):
-            vid = len(infos)
-            infos.append(VertexInfo(host, CORE))
-            edges.extend((o, vid) for o in outers)
-        for _ in range((f_eff - g_eff) // 2):
-            p = len(infos)
-            infos.append(VertexInfo(host, SLACK_P))
-            q = len(infos)
-            infos.append(VertexInfo(host, SLACK_Q))
-            edges.append((p, q))
-            for o in outers:
-                edges.append((o, p))
-                edges.append((o, q))
+            at[he] = add(host, role, he)
+        return [at[he] for he in incident]
+
+    def join(hubs: tuple[int, ...], own: list[int]) -> None:
+        edges.extend((e, h) for h in hubs for e in own)
 
     for x in range(nx):
-        incident = [(x, nx + y) for y in g.neighbors[x]]
-        d = len(incident)
-        f_eff = 2 if d >= 2 else 0
-        expand(x, incident, 0, f_eff)
+        own = ends(x, [(x, nx + y) for y in g.neighbors[x]], X_END, x_end)
+        pair = (add(x, X_PAIR), add(x, X_PAIR))
+        edges.append(pair)
+        join(pair, own)
     for j in range(g.y_count):
-        incident = [(x, nx + j) for x in g.y_neighbors[j]]
-        expand(nx + j, incident, k, k)
+        own = ends(nx + j, [(x, nx + j) for x in g.y_neighbors[j]], Y_END, y_end)
+        join(tuple(add(nx + j, Y_COPY) for _ in range(k)), own)
 
-    inter: dict[tuple[int, int], tuple[int, int]] = {}
-    for x in range(nx):
-        for y in g.neighbors[x]:
-            he = (x, nx + y)
-            ge = (outer_at[(he, x)], outer_at[(he, nx + y)])
-            inter[he] = ge
-            edges.append(ge)
+    inter = {he: (e, y_end[he]) for he, e in x_end.items()}
+    edges.extend(inter.values())
     return GadgetGraph(GeneralGraph(len(infos), edges), tuple(infos), inter)
 
 
@@ -141,7 +136,7 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     gg = gadget.graph
     if trace:
         trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
-              f"({len(gadget.inter_edges)} inter-gadget)")
+              f"({len(gadget.inter_edges)} incidence edges)")
     matching = max_matching(gg)
     if trace:
         trace(f"matching: {len(matching)} edges, perfect needs {gg.n // 2}"
@@ -150,10 +145,12 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
         if trace:
             trace("no perfect matching: factor does not exist")
         return None
+    # An incidence is selected exactly when its incidence edge is not
+    # matched; ids in `inter_edges` are already in (smaller, larger) order.
     matched = set(matching.edges)
     chosen = [(he[0], he[1] - g.x_count)
               for he, ge in gadget.inter_edges.items()
-              if tuple(sorted(ge)) in matched]
+              if ge not in matched]
     result = FactorSubgraph.make(spec.k, chosen)
     verdict = verify_2k_factor(g, result)
     if not verdict:

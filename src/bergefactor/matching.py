@@ -3,13 +3,18 @@
 Unweighted Edmonds matching: a deterministic greedy seed over the
 canonical edge list, then one BFS augmentation phase per exposed vertex,
 contracting odd cycles by rebasing them onto their stem (the `base`
-array).  Each phase is O(V * E).  Scan order is fixed by the sorted
+array).  A contraction relabels only the vertices of the blossoms it
+merges, found through a member list kept per blossom base, and queues
+the newly outer ones in ascending id order.  A phase costs O(E) for the
+scan plus, per contraction, the blossom's size and the two tree paths
+walked to its base, so O(V * E) in the worst case; the `p`, `base` and
+`used` arrays are allocated once per matching and each phase resets
+only the entries it touched.  Scan order is fixed by the sorted
 adjacency lists, so equal inputs always produce equal matchings.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -85,56 +90,81 @@ def is_perfect(g: GeneralGraph, m: Matching) -> bool:
 
 
 def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
-                  match: list[int], n: int) -> bool:
+                  match: list[int], p: list[int], base: list[int],
+                  used: list[bool]) -> bool:
     # BFS over outer vertices; p[] holds the traversal parent of outer
     # vertices, base[] the blossom base each vertex currently maps to.
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
+    # On entry p is all -1, base the identity and used all False; every
+    # entry this phase sets is put back before it returns.
     used[root] = True
-    q: deque[int] = deque([root])
+    q = [root]  # every outer vertex, in BFS order
+    inner: list[int] = []  # vertices whose p was set as an inner vertex
+    members: dict[int, list[int]] = {}  # base -> vertices, non-trivial only
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, flower: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, flower: set[int]) -> None:
         while base[v] != b:
-            flower[base[v]] = True
-            flower[base[match[v]]] = True
+            flower.add(base[v])
+            flower.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
-    while q:
-        v = q.popleft()
+    def reset() -> None:
+        for i in q:
+            p[i] = -1
+            base[i] = i
+            used[i] = False
+        for i in inner:
+            p[i] = -1
+
+    head = 0
+    while head < len(q):
+        v = q[head]
+        head += 1
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and p[match[to]] != -1):
-                # Odd cycle: contract it onto the common base.
+                # Odd cycle: contract it onto the common base.  Only the
+                # vertices of the flower are relabelled; the new outer
+                # ones join the queue in ascending id order.
                 cur = lca(v, to)
-                flower = [False] * n
+                flower: set[int] = set()
                 mark_path(v, cur, to, flower)
                 mark_path(to, cur, v, flower)
-                for i in range(n):
-                    if flower[base[i]]:
+                # cur is outer, and so is every member of a non-trivial
+                # blossom: the vertices already based at cur need nothing.
+                flower.discard(cur)
+                grown = members.setdefault(cur, [cur])
+                fresh = []
+                for b in flower:
+                    group = members.pop(b, None) or [b]
+                    for i in group:
                         base[i] = cur
                         if not used[i]:
-                            used[i] = True
-                            q.append(i)
+                            fresh.append(i)
+                    grown.extend(group)
+                fresh.sort()
+                for i in fresh:
+                    used[i] = True
+                q.extend(fresh)
             elif p[to] == -1:
                 p[to] = v
+                inner.append(to)
                 if match[to] == -1:
                     # Exposed vertex reached: flip the augmenting path.
                     while to != -1:
@@ -143,9 +173,11 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
                         match[to] = pv
                         match[pv] = to
                         to = ppv
+                    reset()
                     return True
                 used[match[to]] = True
                 q.append(match[to])
+    reset()
     return False
 
 
@@ -158,8 +190,11 @@ def max_matching(g: GeneralGraph) -> Matching:
         if match[u] == -1 and match[v] == -1:
             match[u] = v
             match[v] = u
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
     for v in range(n):
         if match[v] == -1:
-            _augment_from(v, adj, match, n)
+            _augment_from(v, adj, match, p, base, used)
     pairs = [(v, match[v]) for v in range(n) if v < match[v]]
     return Matching.make(pairs)

@@ -5,6 +5,7 @@ itertools and exhaustive loops.  The package's optimized routines are
 cross-checked against these on small instances.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -243,3 +244,86 @@ def first_barrier_ternary(nx, ny, rows, k):
         if val < 0:
             return a, b, val
     return None
+
+
+def _augment_from_reference(root, adj, match, n):
+    # BFS over outer vertices; p[] holds the traversal parent of outer
+    # vertices, base[] the blossom base each vertex currently maps to.
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    q = deque([root])
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v, b, child, flower):
+        while base[v] != b:
+            flower[base[v]] = True
+            flower[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    while q:
+        v = q.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                # Odd cycle: contract it onto the common base.
+                cur = lca(v, to)
+                flower = [False] * n
+                mark_path(v, cur, to, flower)
+                mark_path(to, cur, v, flower)
+                for i in range(n):
+                    if flower[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    # Exposed vertex reached: flip the augmenting path.
+                    while to != -1:
+                        pv = p[to]
+                        ppv = match[pv]
+                        match[to] = pv
+                        match[pv] = to
+                        to = ppv
+                    return True
+                used[match[to]] = True
+                q.append(match[to])
+    return False
+
+
+def max_matching_reference(g):
+    """Edmonds matching in its plain form, for `GeneralGraph` g: every
+    contraction sweeps all n vertices and each phase allocates its arrays
+    afresh.  Returns the sorted matched edges, which
+    `max_matching(g).edges` must equal on every input."""
+    n = g.n
+    adj = g.adjacency
+    match = [-1] * n
+    for u, v in g.edges:
+        if match[u] == -1 and match[v] == -1:
+            match[u] = v
+            match[v] = u
+    for v in range(n):
+        if match[v] == -1:
+            _augment_from_reference(v, adj, match, n)
+    pairs = [(v, match[v]) for v in range(n) if v < match[v]]
+    return tuple(sorted(pairs))

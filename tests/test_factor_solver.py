@@ -38,24 +38,47 @@ def _random_bipartite(rng, nx_hi=4, ny_hi=5):
 
 
 def test_gadget_sizes():
-    # X-host of degree 3, bounds (0, 2): 3 outers + 1 core + 1 slack pair
+    # split-incidence layout: an X-vertex owns its d_x incidence ends and
+    # a pair, a Y-vertex its d_y ends and k copies
+    rng = random.Random(47)
+    checked = 0
+    while checked < 30:
+        g = _random_bipartite(rng)
+        k = rng.choice((1, 2, 3))
+        gg = build_gadget(g, DegreeSpec(k))
+        if isinstance(gg, Infeasible):
+            continue
+        checked += 1
+        nx, ny = g.x_count, g.y_count
+        owned = [0] * (nx + ny)
+        for info in gg.vertices:
+            owned[info.host] += 1
+        assert owned[:nx] == [len(g.neighbors[x]) + 2 for x in range(nx)]
+        assert owned[nx:] == [len(g.y_neighbors[y]) + k for y in range(ny)]
+        inc = sum(len(row) for row in g.neighbors)
+        assert gg.graph.n == 2 * inc + 2 * nx + k * ny
+        assert len(gg.graph.edges) == (k + 3) * inc + nx
+        assert len(gg.inter_edges) == inc
+
+    # X-host of degree 3 at k = 1: 3 ends + a pair; each Y of degree 1
+    # has one end and one copy
     g = BipartiteGraph(1, 3, [(0, 1, 2)])
     gg = build_gadget(g, DegreeSpec(1))
     x_vertices = [i for i, info in enumerate(gg.vertices) if info.host == 0]
     y0_vertices = [i for i, info in enumerate(gg.vertices) if info.host == 1]
-    assert len(x_vertices) == 6
-    # each Y has degree 1 = k: a single outer, no cores, no slack
-    assert len(y0_vertices) == 1
+    assert len(x_vertices) == 5
+    assert len(y0_vertices) == 2
     assert len(gg.inter_edges) == 3
 
-    # Y-host of degree 3 with k = 1, bounds (1, 1): 3 outers + 2 cores
-    h = BipartiteGraph(3, 1, [(0,), (0,), (0,)])
-    hh = build_gadget(h, DegreeSpec(1))
-    y_vertices = [i for i, info in enumerate(hh.vertices) if info.host == 3]
-    assert len(y_vertices) == 5
-    # degree-1 X gets clamped bounds (0, 0): one outer plus one core
-    x0_vertices = [i for i, info in enumerate(hh.vertices) if info.host == 0]
-    assert len(x0_vertices) == 2
+
+def test_degree_one_x_takes_degree_zero():
+    # a degree-1 X-vertex cannot fill its pair, so it is forced to degree
+    # 0; the Y-vertex then keeps no incidence and k = 1 fails
+    g = BipartiteGraph(2, 1, [(0,), (0,)])
+    spec = DegreeSpec(1)
+    assert find_2k_factor(g, spec) is None
+    assert not decide_by_criterion(g, spec).exists
+    assert not oracles.has_2k_factor(g.x_count, g.y_count, g.neighbors, 1)
 
 
 def test_gadget_infeasible_low_degree():

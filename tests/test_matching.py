@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from bergefactor import GeneralGraph, Matching, is_perfect, max_matching
+from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Infeasible,
+                         Matching, build_gadget, is_perfect, max_matching)
 
 import oracles
 
@@ -88,3 +89,31 @@ def test_random_up_to_ten_vertices():
         edges = rng.sample(pairs, m)
         g = GeneralGraph(n, edges)
         assert len(max_matching(g)) == oracles.max_matching_size(n, edges)
+
+
+def test_same_matching_as_reference_random():
+    # mixed densities on up to 40 vertices, so that blossoms nest; the
+    # exact edges are compared, not just the size
+    rng = random.Random(23)
+    for _ in range(3000):
+        n = rng.randint(10, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.35, 0.6))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+        g = GeneralGraph(n, edges)
+        assert max_matching(g).edges == oracles.max_matching_reference(g)
+
+
+def test_same_matching_as_reference_on_gadgets():
+    rng = random.Random(29)
+    tried = 0
+    while tried < 60:
+        nx, ny = rng.randint(2, 20), rng.randint(1, 12)
+        rows = [tuple(sorted(rng.sample(range(ny), rng.randint(0, ny))))
+                for _ in range(nx)]
+        gadget = build_gadget(BipartiteGraph(nx, ny, rows),
+                              DegreeSpec(rng.choice((1, 2, 3))))
+        if isinstance(gadget, Infeasible):
+            continue
+        tried += 1
+        g = gadget.graph
+        assert max_matching(g).edges == oracles.max_matching_reference(g)
