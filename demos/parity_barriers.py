@@ -23,8 +23,8 @@ def main():
           f"({res.stats.evaluated} pairs evaluated)")
 
     # The star K_{1,3} has no Berge-1-factor: pairing the center into
-    # one edge leaves two leaves stranded.  The criterion finds a
-    # barrier instead of scanning to the end.
+    # one edge leaves two leaves stranded.  The criterion's scan visits
+    # every pair and returns the first barrier in base-3 order.
     g = incidence_graph(families.star(3))
     spec = DegreeSpec(1)
     res = decide_by_criterion(g, spec)

@@ -28,22 +28,6 @@ from .incidence import BipartiteGraph, incidence_graph
 from .matching import GeneralGraph, max_matching
 from .parity_criterion import DegreeSpec
 
-X_END = "x_end"
-Y_END = "y_end"
-X_PAIR = "x_pair"
-Y_COPY = "y_copy"
-
-
-@dataclass(frozen=True)
-class VertexInfo:
-    """Gadget vertex provenance: owning host vertex (global id), role,
-    and for incidence ends the host edge carried."""
-
-    host: int
-    role: str
-    edge: tuple[int, int] | None = None
-
-
 @dataclass(frozen=True)
 class Infeasible:
     """A Y-vertex whose host degree is below k; no factor can exist."""
@@ -55,11 +39,12 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """The matching gadget; `inter_edges` maps each host edge (x, nx + y)
+    """The matching gadget; `owner` gives the host vertex (global id) of
+    each gadget vertex, and `inter_edges` maps each host edge (x, nx + y)
     to its incidence edge (e_x, e_y) in the gadget."""
 
     graph: GeneralGraph
-    vertices: tuple[VertexInfo, ...]
+    owner: tuple[int, ...]
     inter_edges: dict[tuple[int, int], tuple[int, int]]
 
 
@@ -87,37 +72,37 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasibl
         d = len(g.y_neighbors[j])
         if d < k:
             return Infeasible(j, d, k)
-    infos: list[VertexInfo] = []
+    owner: list[int] = []
     edges: list[tuple[int, int]] = []
     # Incidence end ids per host edge (x, nx + y), in global coordinates.
     x_end: dict[tuple[int, int], int] = {}
     y_end: dict[tuple[int, int], int] = {}
 
-    def add(host: int, role: str, edge: tuple[int, int] | None = None) -> int:
-        infos.append(VertexInfo(host, role, edge))
-        return len(infos) - 1
+    def add(host: int) -> int:
+        owner.append(host)
+        return len(owner) - 1
 
-    def ends(host: int, incident: list[tuple[int, int]], role: str,
+    def ends(host: int, incident: list[tuple[int, int]],
              at: dict[tuple[int, int], int]) -> list[int]:
         for he in incident:
-            at[he] = add(host, role, he)
+            at[he] = add(host)
         return [at[he] for he in incident]
 
     def join(hubs: tuple[int, ...], own: list[int]) -> None:
         edges.extend((e, h) for h in hubs for e in own)
 
     for x in range(nx):
-        own = ends(x, [(x, nx + y) for y in g.neighbors[x]], X_END, x_end)
-        pair = (add(x, X_PAIR), add(x, X_PAIR))
+        own = ends(x, [(x, nx + y) for y in g.neighbors[x]], x_end)
+        pair = (add(x), add(x))
         edges.append(pair)
         join(pair, own)
     for j in range(g.y_count):
-        own = ends(nx + j, [(x, nx + j) for x in g.y_neighbors[j]], Y_END, y_end)
-        join(tuple(add(nx + j, Y_COPY) for _ in range(k)), own)
+        own = ends(nx + j, [(x, nx + j) for x in g.y_neighbors[j]], y_end)
+        join(tuple(add(nx + j) for _ in range(k)), own)
 
     inter = {he: (e, y_end[he]) for he, e in x_end.items()}
     edges.extend(inter.values())
-    return GadgetGraph(GeneralGraph(len(infos), edges), tuple(infos), inter)
+    return GadgetGraph(GeneralGraph(len(owner), edges), tuple(owner), inter)
 
 
 def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,

@@ -43,7 +43,8 @@ class GeneralGraph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        # `edges` is canonical and sorted, so each list is already ascending.
+        return tuple(tuple(a) for a in adj)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GeneralGraph)

@@ -90,13 +90,15 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Outcome of the full deficiency scan: the exact minimum and the
-    biased-optimal pair attaining it."""
+    """Outcome of the full deficiency scan: the exact minimum, the
+    biased-optimal pair attaining it, and the first barrier in base-3
+    order as (A, B, delta), None when no pair has delta < 0."""
 
     min_delta: int
     best_a: tuple[int, ...]
     best_b: tuple[int, ...]
     stats: ScanStats
+    first: tuple[tuple[int, ...], tuple[int, ...], int] | None
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,6 @@ def _evaluate(adjg: list[int], nx: int, n_total: int, k: int,
     return s - hw, comps, hw
 
 
-def _record(a_mask: int, b_mask: int, dlt: int,
-            comps: list[tuple[int, bool]], hw: int) -> Barrier:
-    return Barrier(
-        a=bit_tuple(a_mask),
-        b=bit_tuple(b_mask),
-        delta=dlt,
-        components=tuple(Component(bit_tuple(cm), od) for cm, od in comps),
-        hw=hw)
-
-
 def _masks_of_pair(g: BipartiteGraph, a: Iterable[int], b: Iterable[int]
                    ) -> tuple[int, int]:
     n_total = g.x_count + g.y_count
@@ -208,7 +200,12 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
     adjg = _global_adjacency(g)
     dlt, comps, hw = _evaluate(adjg, g.x_count, g.x_count + g.y_count,
                                spec.k, a_mask, b_mask)
-    return _record(a_mask, b_mask, dlt, comps, hw)
+    return Barrier(
+        a=bit_tuple(a_mask),
+        b=bit_tuple(b_mask),
+        delta=dlt,
+        components=tuple(Component(bit_tuple(cm), od) for cm, od in comps),
+        hw=hw)
 
 
 def classify_component(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
@@ -227,14 +224,22 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                     budget: int | None = None) -> ScanResult:
     """Exact minimum of the deficiency over all disjoint pairs, with the
     biased tie-break applied (min delta, then min |B|, then max |A|,
-    then lexicographically least (B, A)).
+    then lexicographically least (B, A)), and the first barrier in
+    base-3 counting order over assignment vectors (vertex 0 is the
+    fastest digit; 0 = untouched, 1 = A, 2 = B).
 
     Only pairs with B inside Y are enumerated: dropping an X-vertex from
-    B never raises the deficiency (its lower target is 0), so both the
-    minimum and every biased-optimal pair live in this family.  The scan
-    walks the untouched set U = V - (A + B); components of G - (A + B)
-    depend only on U, so their parity data is computed once per U and
-    each B inside V - U is then scored in O(|B| + #components)."""
+    B to the untouched set never raises the deficiency (its lower target
+    is 0, and it joins at most as many components as it has edges
+    outside A), so the minimum and every biased-optimal pair live in
+    this family.  The same move lowers that vertex's digit from 2 to 0,
+    so the first barrier lives there too.  The scan walks the untouched
+    set U = V - (A + B); components of G - (A + B) depend only on U, so
+    their parity data is computed once per U and each B inside V - U is
+    then scored in O(1) per Gray-code step.  A pair's base-3 code is the
+    code of C = V - U, where every vertex has digit at least 1, plus
+    3^y for each y in B, so the first barrier is tracked in the same
+    walk."""
     nx, ny = g.x_count, g.y_count
     n_total = nx + ny
     limit = _budget.resolve(budget, _budget.DEFAULT_CRITERION_BUDGET)
@@ -250,6 +255,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     best_d = best_nb = best_na = 0  # seeded below by the first pair
     best_state: tuple[int, int, list[int]] | None = None  # (c_mask, bi, ys)
     best_lex: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    pow3 = [3 ** v for v in range(n_total + 1)]
+    first_code = pow3[n_total]  # above every assignment code
+    first_d = 0
+    first_state: tuple[int, int, list[int]] | None = None
 
     def lex_of(c_mask: int, bi: int, ys: list[int]
                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -259,6 +268,8 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
 
     for u_mask in range(1 << n_total):
         c_mask = all_mask ^ u_mask
+        # The binary digits of C read in base 3 give sum of 3^v over C.
+        c_code = int(f"{c_mask:b}", 3)
         cy_mask = c_mask & y_all
         ys: list[int] = []
         t = cy_mask
@@ -270,6 +281,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         # Degree of y in G - A is |N(y) & U| for every split of C, since
         # B holds no X-vertices; fold the -2k B-membership cost in now.
         wts = [(adjg[y] & u_mask).bit_count() - 2 * k for y in ys]
+        pows = [pow3[y] for y in ys]
         # Components of G[U]: parity seed, plus for each candidate
         # B-vertex a flag saying whether it sends an odd number of edges
         # into the component (only the parity of e(D, B) matters).
@@ -303,16 +315,21 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         c_size = c_mask.bit_count()
         evaluated += 1 << tcount
         # Gray-code walk over B subsets: one vertex toggles per step, so
-        # the weight sum, |B| and the odd-component set update in O(1).
+        # the weight sum, |B|, the code and the odd-component set update
+        # in O(1).
         cur = 0
         sw = 0
         nb = 0
+        code = c_code
         odd_mask = odd0
         step = 0
         last = 1 << tcount
         while True:
             dlt = const + sw - odd_mask.bit_count()
             odd_deltas += dlt & 1
+            if dlt < 0 and code < first_code:
+                first_code, first_d = code, dlt
+                first_state = (c_mask, cur, ys)
             na = c_size - nb
             if (best_state is None or dlt < best_d
                     or (dlt == best_d
@@ -337,17 +354,32 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             if cur & bit:
                 sw += wts[j]
                 nb += 1
+                code += pows[j]
             else:
                 sw -= wts[j]
                 nb -= 1
+                code -= pows[j]
             odd_mask ^= affect[j]
     if best_state is None:  # the (empty, empty) pair is always scanned
         raise RuntimeError("deficiency scan evaluated no pair")
-    c_mask, bi, ys = best_state
-    b_ids = tuple(ys[j] for j in bit_tuple(bi))
-    a_ids = bit_tuple(c_mask ^ mask_of(b_ids))
-    return ScanResult(best_d, a_ids, b_ids,
-                      ScanStats(evaluated, odd_deltas, parity_checked))
+    best_b, best_a = lex_of(*best_state)
+    first = None
+    if first_state is not None:
+        first_b, first_a = lex_of(*first_state)
+        first = (first_a, first_b, first_d)
+    return ScanResult(best_d, best_a, best_b,
+                      ScanStats(evaluated, odd_deltas, parity_checked), first)
+
+
+def _checked(g: BipartiteGraph, spec: DegreeSpec, a: tuple[int, ...],
+             b: tuple[int, ...], want: int) -> Barrier:
+    """Re-evaluate a pair chosen by the scan through `delta` and require
+    the delta the scan found for it."""
+    rec = delta(g, a, b, spec)
+    if rec.delta != want:
+        raise RuntimeError(f"pair A={a} B={b} re-evaluates to delta "
+                           f"{rec.delta}, scan found {want}")
+    return rec
 
 
 def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
@@ -356,45 +388,13 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     non-negative on every disjoint pair.  When barriers exist, the one
     returned is the first in base-3 counting order over assignment
     vectors (vertex 0 is the fastest digit; 0 = untouched, 1 = A,
-    2 = B)."""
+    2 = B).  It has B inside Y, so the deficiency scan finds it in its
+    own walk; `stats` are the scan's."""
     scan = deficiency_scan(g, spec, budget)
-    if scan.min_delta >= 0:
+    if scan.first is None:
         return CriterionResult(True, None, scan.stats)
-    nx = g.x_count
-    n_total = nx + g.y_count
-    adjg = _global_adjacency(g)
-    k = spec.k
-    evaluated = scan.stats.evaluated
-    odd = scan.stats.odd_deltas
-    digits = bytearray(n_total)
-    a_mask = 0
-    b_mask = 0
-    while True:
-        dlt, comps, hw = _evaluate(adjg, nx, n_total, k, a_mask, b_mask)
-        evaluated += 1
-        odd += dlt & 1
-        if dlt < 0:
-            return CriterionResult(
-                False, _record(a_mask, b_mask, dlt, comps, hw),
-                ScanStats(evaluated, odd, scan.stats.parity_checked))
-        pos = 0
-        while pos < n_total:
-            d = digits[pos]
-            bit = 1 << pos
-            if d == 0:
-                digits[pos] = 1
-                a_mask |= bit
-                break
-            if d == 1:
-                digits[pos] = 2
-                a_mask ^= bit
-                b_mask |= bit
-                break
-            digits[pos] = 0
-            b_mask ^= bit
-            pos += 1
-        else:
-            raise AssertionError("scan found min delta < 0 but no pair has it")
+    a, b, want = scan.first
+    return CriterionResult(False, _checked(g, spec, a, b, want), scan.stats)
 
 
 def find_biased_barrier(g: BipartiteGraph, spec: DegreeSpec,
@@ -404,11 +404,7 @@ def find_biased_barrier(g: BipartiteGraph, spec: DegreeSpec,
     scan = deficiency_scan(g, spec, budget)
     if scan.min_delta >= 0:
         raise FactorExistsError("graph has a (2,k)-factor")
-    rec = delta(g, scan.best_a, scan.best_b, spec)
-    if rec.delta != scan.min_delta:
-        raise RuntimeError(f"biased pair re-evaluates to delta {rec.delta}, "
-                           f"scan found {scan.min_delta}")
-    return rec
+    return _checked(g, spec, scan.best_a, scan.best_b, scan.min_delta)
 
 
 def h_of_z(g: BipartiteGraph, barrier: Barrier, z: Iterable[int]) -> int:

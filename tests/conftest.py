@@ -163,10 +163,6 @@ def _suite3_instance(stats, g, k, run_decide):
     if run_decide:
         res = decide_by_criterion(g, spec)
         agree = agree and res.exists == criterion_exists
-        if (k * g.y_count) % 2 == 0:
-            # decide merges its own scan stats with the ternary pass;
-            # count only the extra evaluations beyond our scan
-            stats["odd_deltas"] += res.stats.odd_deltas - scan.stats.odd_deltas
     edge_count = sum(len(row) for row in g.neighbors)
     if edge_count <= 18:
         stats["brute_checked"] += 1

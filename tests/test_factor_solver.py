@@ -51,8 +51,8 @@ def test_gadget_sizes():
         checked += 1
         nx, ny = g.x_count, g.y_count
         owned = [0] * (nx + ny)
-        for info in gg.vertices:
-            owned[info.host] += 1
+        for host in gg.owner:
+            owned[host] += 1
         assert owned[:nx] == [len(g.neighbors[x]) + 2 for x in range(nx)]
         assert owned[nx:] == [len(g.y_neighbors[y]) + k for y in range(ny)]
         inc = sum(len(row) for row in g.neighbors)
@@ -64,8 +64,8 @@ def test_gadget_sizes():
     # has one end and one copy
     g = BipartiteGraph(1, 3, [(0, 1, 2)])
     gg = build_gadget(g, DegreeSpec(1))
-    x_vertices = [i for i, info in enumerate(gg.vertices) if info.host == 0]
-    y0_vertices = [i for i, info in enumerate(gg.vertices) if info.host == 1]
+    x_vertices = [i for i, host in enumerate(gg.owner) if host == 0]
+    y0_vertices = [i for i, host in enumerate(gg.owner) if host == 1]
     assert len(x_vertices) == 5
     assert len(y0_vertices) == 2
     assert len(gg.inter_edges) == 3

@@ -144,15 +144,23 @@ def test_scan_star_frozen_values():
 
 def test_scan_even_parity_exhaustive():
     """No odd deficiency ever appears when k * |Y| is even: checked over
-    every bipartite graph with |X| + |Y| <= 5."""
+    every bipartite graph with |X| + |Y| <= 5, both by the scan and by
+    `delta` on every disjoint pair, B holding X-vertices included."""
     from bergefactor.harness import enumerate_bipartite_graphs
 
     for g in enumerate_bipartite_graphs(5):
+        n = g.x_count + g.y_count
         for k in (1, 2):
             if k * g.y_count % 2:
                 continue
-            res = deficiency_scan(g, DegreeSpec(k))
+            spec = DegreeSpec(k)
+            res = deficiency_scan(g, spec)
             assert res.stats.odd_deltas == 0, (g, k)
+            for code in range(3 ** n):
+                digits = [code // 3 ** v % 3 for v in range(n)]
+                a = [v for v in range(n) if digits[v] == 1]
+                b = [v for v in range(n) if digits[v] == 2]
+                assert delta(g, a, b, spec).delta % 2 == 0, (g, k, a, b)
 
 
 def test_scan_budget():
@@ -192,6 +200,28 @@ def test_decide_returns_first_barrier_in_ternary_order():
     assert found_any > 3  # the sample must actually exercise barriers
 
 
+def test_decide_first_barrier_on_larger_hosts():
+    # |V| = 7-8 and k up to 3, beyond the small hosts above
+    rng = random.Random(41)
+    found_any = 0
+    for _ in range(40):
+        ny = rng.randint(3, 6)
+        nx = rng.randint(7, 8) - ny
+        rows = [tuple(sorted(rng.sample(range(ny), rng.randint(1, ny))))
+                for _ in range(nx)]
+        g = BipartiteGraph(nx, ny, rows)
+        k = rng.choice((1, 2, 3))
+        res = decide_by_criterion(g, DegreeSpec(k))
+        want = oracles.first_barrier_ternary(nx, ny, g.neighbors, k)
+        if want is None:
+            assert res.exists
+        else:
+            found_any += 1
+            assert not res.exists
+            assert (res.barrier.a, res.barrier.b, res.barrier.delta) == want
+    assert 5 < found_any < 40  # both outcomes must occur
+
+
 def test_decide_star_first_barrier():
     # in base-3 counting order the hub vertex (global 3) is the first
     # assignment whose deficiency goes negative
@@ -200,6 +230,9 @@ def test_decide_star_first_barrier():
     assert not res.exists
     assert (res.barrier.a, res.barrier.b) == ((3,), ())
     assert res.barrier.delta == -2
+    # one enumeration: decide evaluates exactly the scan's 2^3 * 3^4 pairs
+    assert res.stats.evaluated == 648
+    assert res.stats == deficiency_scan(g, DegreeSpec(1)).stats
 
 
 # ---------------------------------------------------------------- biased
