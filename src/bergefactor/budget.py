@@ -11,7 +11,9 @@ import os
 
 # Subset scans over one vertex set: toughness, completeness, Y-toughness.
 DEFAULT_VERTEX_BUDGET = 20
-# Disjoint-pair scans over V(G) in the factor criterion.
+# Disjoint-pair scans over V(G) in the factor criterion.  The same
+# budget b also caps the pairs such a scan may enumerate (see
+# check_pairs).
 DEFAULT_CRITERION_BUDGET = 18
 
 ENV_VAR = "BF_BUDGET"
@@ -37,4 +39,17 @@ def check(kind: str, size: int, limit: int) -> None:
     if size > limit:
         raise BudgetExceededError(
             f"{kind}: instance size {size} exceeds enumeration budget {limit}"
+            f" (pass a larger budget or set {ENV_VAR})")
+
+
+def check_pairs(kind: str, x: int, y: int, limit: int) -> None:
+    """Refuse a scan of 2^x * 3^y disjoint pairs above 2^ceil(b/2) *
+    3^floor(b/2), the pair count of a host of b = `limit` vertices split
+    evenly between X and Y (about 1.0e7 at b = 18)."""
+    pairs = 2 ** x * 3 ** y
+    cap = 2 ** ((limit + 1) // 2) * 3 ** (limit // 2)
+    if pairs > cap:
+        raise BudgetExceededError(
+            f"{kind}: 2^{x}*3^{y} = {pairs} pairs exceed pair budget {cap}"
+            f" of vertex budget {limit}"
             f" (pass a larger budget or set {ENV_VAR})")

@@ -189,37 +189,49 @@ def _component_count(n: int, edge_masks: Sequence[int], s_mask: int) -> int:
 
 
 def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
-    """Exact toughness by full cutset enumeration.
+    """Exact toughness by a cutset scan in increasing |S|.
 
     Returns the minimum |S| / c(H - S) over all S with c(H - S) >= 2, as a
     Fraction, together with the smallest and then lexicographically least
     minimizing S.  Returns the infinite value when no such S exists.
-    Instances above the enumeration budget (default 20 vertices; override
-    per call or via BF_BUDGET) are refused, never truncated."""
+
+    Level s holds the cutsets of size s.  H - S has at most n - s
+    components, so no cutset of size s or more falls below the best ratio
+    found so far once s / (n - s) reaches it, and the scan stops there;
+    a later level could only tie, and a tie never displaces a smaller
+    witness.  Instances above the enumeration budget (default 20
+    vertices; override per call or via BF_BUDGET) are refused, never
+    truncated."""
     if h.n < 1:
         raise ValueError("toughness needs at least one vertex")
     limit = _budget.resolve(budget, _budget.DEFAULT_VERTEX_BUDGET)
     _budget.check("toughness", h.n, limit)
     masks = h.edge_masks
     n = h.n
-    # Best ratio tracked as a num/den pair to avoid a Fraction per subset.
+    full = 1 << n
+    # Best ratio tracked as a num/den pair to avoid a Fraction per
+    # subset; the numerator is the best cutset's size.
     bn = 0
     bd = 0
-    best_size = -1
     best_mask = 0
-    for s_mask in range(1 << n):
-        c = _component_count(n, masks, s_mask)
-        if c < 2:
-            continue
-        size = s_mask.bit_count()
-        if bd == 0 or size * bd < bn * c:
-            bn, bd = size, c
-            best_size, best_mask = size, s_mask
-        elif size * bd == bn * c:
-            if size < best_size or (size == best_size
-                                    and bit_tuple(s_mask) < bit_tuple(best_mask)):
-                bn, bd = size, c
-                best_size, best_mask = size, s_mask
+    for size in range(n + 1):
+        if bd and size * bd >= bn * (n - size):
+            break
+        s_mask = (1 << size) - 1
+        while s_mask < full:
+            c = _component_count(n, masks, s_mask)
+            if c >= 2:
+                if bd == 0 or size * bd < bn * c:
+                    bn, bd, best_mask = size, c, s_mask
+                elif (size == bn and c == bd
+                      and bit_tuple(s_mask) < bit_tuple(best_mask)):
+                    best_mask = s_mask
+            if not s_mask:
+                break
+            # Gosper's step: the next larger mask with the same popcount.
+            low = s_mask & -s_mask
+            ripple = s_mask + low
+            s_mask = (((ripple ^ s_mask) >> 2) // low) | ripple
     if bd == 0:
         return ToughnessValue(None, None)
     return ToughnessValue(Fraction(bn, bd), bit_tuple(best_mask))
@@ -227,20 +239,9 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
 
 def is_complete(h: Hypergraph, budget: int | None = None) -> bool:
     """True when every deletion of at most n-2 vertices leaves a connected
-    remainder (a single surviving vertex counts as connected).  Holds
-    exactly when the toughness is infinite."""
-    limit = _budget.resolve(budget, _budget.DEFAULT_VERTEX_BUDGET)
-    _budget.check("completeness", h.n, limit)
-    if h.n <= 1:
-        return True
-    masks = h.edge_masks
-    cap = h.n - 2
-    for s_mask in range(1 << h.n):
-        if s_mask.bit_count() > cap:
-            continue
-        if _component_count(h.n, masks, s_mask) >= 2:
-            return False
-    return True
+    remainder (a single surviving vertex counts as connected), that is,
+    when the toughness is infinite."""
+    return h.n == 0 or toughness(h, budget).infinite
 
 
 def verify_berge_factor(h: Hypergraph, cert: BergeFactorCertificate) -> Verdict:

@@ -239,11 +239,13 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     then scored in O(1) per Gray-code step.  A pair's base-3 code is the
     code of C = V - U, where every vertex has digit at least 1, plus
     3^y for each y in B, so the first barrier is tracked in the same
-    walk."""
+    walk.  Hosts above the vertex budget b, or with more than
+    2^ceil(b/2) * 3^floor(b/2) pairs, are refused before the walk."""
     nx, ny = g.x_count, g.y_count
     n_total = nx + ny
     limit = _budget.resolve(budget, _budget.DEFAULT_CRITERION_BUDGET)
     _budget.check("criterion scan", n_total, limit)
+    _budget.check_pairs("criterion scan", nx, ny, limit)
     k = spec.k
     adjg = _global_adjacency(g)
     all_mask = (1 << n_total) - 1

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bergefactor import DegreeSpec, delta, incidence_graph
+from bergefactor import BipartiteGraph, DegreeSpec, delta, incidence_graph
 from bergefactor.cli import cli
 from bergefactor.families import complete_uniform, cycle, star
 from bergefactor.formats import serialize_bar, serialize_big, serialize_hg
@@ -260,6 +260,17 @@ def test_budget_exit_code(capsys, star_hg):
     code, _, err = run(capsys, "toughness", star_hg, "--enum-budget", "2")
     assert code == 3
     assert "budget" in err
+
+
+def test_pair_budget_exit_code(capsys, tmp_path):
+    # 18 vertices, inside the vertex budget, but 2^2 * 3^16 pairs.
+    f = tmp_path / "wide.big"
+    f.write_text(serialize_big(
+        BipartiteGraph(2, 16, [tuple(range(16)), tuple(range(8))])))
+    code, out, err = run(capsys, "criterion", str(f), "-k", "1")
+    assert code == 3
+    assert out == ""
+    assert "pair budget" in err
 
 
 def test_missing_file_exit_code(capsys):

@@ -16,6 +16,7 @@ from bergefactor import (
     toughness,
     verify_berge_factor,
 )
+from bergefactor import hypergraph
 from bergefactor.families import (
     complete_graph,
     complete_uniform,
@@ -175,6 +176,47 @@ def test_toughness_matches_oracle_random():
         assert got.witness == wit
 
 
+def test_toughness_matches_oracle_larger_random():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(7, 10)
+        m = rng.randint(n // 2, 3 * n)
+        edges = [tuple(sorted(rng.sample(range(n), rng.randint(2, 5))))
+                 for _ in range(m)]
+        got = toughness(Hypergraph(n, edges))
+        assert (got.value, got.witness) == oracles.hypergraph_toughness(n, edges)
+
+
+def test_toughness_witness_among_ties():
+    # Witnesses from the oracle.  From C6 on, larger cutsets of a cycle
+    # (every other vertex) also reach ratio 1; the Petersen graph has
+    # five minimizing 4-sets and no larger one.
+    for n in range(4, 10):
+        assert toughness(cycle(n)).witness == (0, 2)
+    tv = toughness(petersen())
+    assert (tv.value, tv.witness) == (Fraction(4, 3), (0, 2, 8, 9))
+
+
+def test_toughness_stops_at_survivor_bound(monkeypatch):
+    calls = 0
+    kernel = hypergraph._component_count
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(hypergraph, "_component_count", counting)
+    # The empty set, then the 13 singletons: deleting the center leaves
+    # 12 components, and no 2-set can beat 1/12 with at most 11.
+    assert toughness(star(12)).value == Fraction(1, 12)
+    assert calls == 14
+    # Infinite toughness: no ratio to prune against, all 2^6 subsets.
+    calls = 0
+    assert toughness(complete_graph(6)).infinite
+    assert calls == 64
+
+
 def test_toughness_budget_refusal():
     with pytest.raises(BudgetExceededError):
         toughness(Hypergraph(5, [(0, 1)]), budget=4)
@@ -203,7 +245,8 @@ def test_is_complete_matches_infinite_toughness():
         h = Hypergraph(n, edges)
         if h.n < 1:
             continue
-        assert is_complete(h) == toughness(h).infinite
+        assert is_complete(h) == (
+            oracles.hypergraph_toughness(n, edges)[0] is None)
 
 
 def test_complete_graph_is_complete():

@@ -169,6 +169,20 @@ def test_scan_budget():
         deficiency_scan(g, DegreeSpec(1), budget=19)
 
 
+def test_scan_pair_budget():
+    # Budget 4 allows 2^2 * 3^2 = 36 pairs: |X| = 2, |Y| = 2 is scanned,
+    # |X| = 1, |Y| = 3 (54 pairs, also 4 vertices) is refused.
+    spec = DegreeSpec(1)
+    ok = BipartiteGraph(2, 2, [(0, 1), (0, 1)])
+    assert deficiency_scan(ok, spec, budget=4).stats.evaluated == 36
+    with pytest.raises(BudgetExceededError, match="pair budget 36"):
+        deficiency_scan(BipartiteGraph(1, 3, [(0, 1, 2)]), spec, budget=4)
+    # 2^2 * 3^16 = 1.7e8 pairs on 18 vertices: refused at the default.
+    wide = BipartiteGraph(2, 16, [tuple(range(16)), tuple(range(8))])
+    with pytest.raises(BudgetExceededError, match="pair budget"):
+        deficiency_scan(wide, spec)
+
+
 # ---------------------------------------------------------------- decide
 
 
