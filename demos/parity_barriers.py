@@ -44,8 +44,8 @@ def main():
     # The full scan reports the exact minimum and the biased-optimal
     # pair (min delta, then fewest B, then most A).
     scan = deficiency_scan(g, spec)
-    print(f"  scan minimum: {scan.min_delta} at A={scan.best_a} "
-          f"B={scan.best_b} over {scan.stats.evaluated} pairs, "
+    print(f"  scan minimum: {scan.biased.delta} at A={scan.biased.a} "
+          f"B={scan.biased.b} over {scan.stats.evaluated} pairs, "
           f"odd deltas: {scan.stats.odd_deltas}")
 
     # Biased barriers are structurally constrained; all four clauses

@@ -168,8 +168,7 @@ def parse_bar(text: str) -> Barrier:
     order = [c.vertices[0] for c in comps]
     if order != sorted(order):
         raise FormatError("components not sorted by smallest member")
-    hw = sum(1 for c in comps if c.odd)
-    return Barrier(tuple(a), tuple(b), dlt, tuple(comps), hw)
+    return Barrier(tuple(a), tuple(b), dlt, tuple(comps))
 
 
 def serialize_bar(br: Barrier) -> str:

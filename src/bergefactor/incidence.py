@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .hypergraph import Hypergraph, ToughnessValue, _find, toughness
+from .hypergraph import Hypergraph, ToughnessValue, components, toughness
 
 
 class BipartiteGraph:
@@ -123,23 +123,15 @@ def strong_delete_y(g: BipartiteGraph, s: Iterable[int]) -> YStrongDeletion:
 def bipartite_components(g: BipartiteGraph
                          ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Connected components as (X-vertices, Y-vertices) pairs of sorted
-    tuples, ordered by smallest global id."""
+    tuples, ordered by smallest global id: the components of the
+    2-uniform hypergraph on global ids with one edge (x, nx + y) per
+    incidence."""
     nx = g.x_count
-    parent = list(range(nx + g.y_count))
-    for x, nbrs in enumerate(g.neighbors):
-        a = _find(parent, x)
-        for y in nbrs:
-            b = _find(parent, nx + y)
-            if b != a:
-                parent[b] = a
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for v in range(nx + g.y_count):
-        xs, ys = groups.setdefault(_find(parent, v), ([], []))
-        if v < nx:
-            xs.append(v)
-        else:
-            ys.append(v - nx)
-    return [(tuple(xs), tuple(ys)) for xs, ys in groups.values()]
+    view = Hypergraph(nx + g.y_count, [(x, nx + y) for x, nbrs
+                                       in enumerate(g.neighbors) for y in nbrs])
+    return [(tuple(v for v in comp if v < nx),
+             tuple(v - nx for v in comp if v >= nx))
+            for comp in components(view)]
 
 
 def y_toughness(g: BipartiteGraph, budget: int | None = None) -> ToughnessValue:

@@ -63,7 +63,11 @@ class Barrier:
     b: tuple[int, ...]
     delta: int
     components: tuple[Component, ...]
-    hw: int
+
+    @property
+    def hw(self) -> int:
+        """Number of odd components of G - (A + B)."""
+        return sum(c.odd for c in self.components)
 
     @property
     def is_barrier(self) -> bool:
@@ -90,15 +94,14 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Outcome of the full deficiency scan: the exact minimum, the
-    biased-optimal pair attaining it, and the first barrier in base-3
-    order as (A, B, delta), None when no pair has delta < 0."""
+    """Outcome of the full deficiency scan as checked `Barrier` records:
+    `biased` is the biased-optimal pair, whose delta is the exact
+    minimum, and `first` the first barrier in base-3 order, None when no
+    pair has delta < 0."""
 
-    min_delta: int
-    best_a: tuple[int, ...]
-    best_b: tuple[int, ...]
+    biased: Barrier
+    first: Barrier | None
     stats: ScanStats
-    first: tuple[tuple[int, ...], tuple[int, ...], int] | None
 
 
 @dataclass(frozen=True)
@@ -139,15 +142,34 @@ def _global_adjacency(g: BipartiteGraph) -> list[int]:
     return adj
 
 
-def _evaluate(adjg: list[int], nx: int, n_total: int, k: int,
-              a_mask: int, b_mask: int) -> tuple[int, list[tuple[int, bool]], int]:
-    """Full per-pair recompute of (delta, component masks with parity,
-    number of odd components)."""
-    y_all = ((1 << (n_total - nx)) - 1) << nx
+def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
+          spec: DegreeSpec) -> Barrier:
+    """Evaluate the deficiency of the disjoint pair (A, B), returning the
+    populated record (delta value and component classification).  This
+    is the one evaluator: the scan re-checks every pair it returns
+    through it."""
+    nx = g.x_count
+    n_total = nx + g.y_count
+    a_mask = mask_of(a)
+    b_mask = mask_of(b)
+    if (a_mask | b_mask) >> n_total:
+        raise ValueError(f"vertex id outside 0..{n_total - 1}")
+    if a_mask & b_mask:
+        raise ValueError("A and B overlap")
+    adjg = _global_adjacency(g)
+    k = spec.k
+    all_mask = (1 << n_total) - 1
     x_all = (1 << nx) - 1
-    rest = ((1 << n_total) - 1) & ~(a_mask | b_mask)
-    comps: list[tuple[int, bool]] = []
-    hw = 0
+    y_all = all_mask & ~x_all
+    rest = all_mask & ~(a_mask | b_mask)
+    comps: list[Component] = []
+    s = 2 * (a_mask & x_all).bit_count() + k * (a_mask & y_all).bit_count()
+    s -= k * (b_mask & y_all).bit_count()
+    bb = b_mask
+    while bb:
+        lb = bb & -bb
+        bb ^= lb
+        s += (adjg[lb.bit_length() - 1] & ~a_mask).bit_count()
     rem = rest
     while rem:
         low = rem & -rem
@@ -165,47 +187,12 @@ def _evaluate(adjg: list[int], nx: int, n_total: int, k: int,
                 eb += (av & b_mask).bit_count()
             frontier = nxt & rest & ~comp
             comp |= frontier
-        odd = (2 * (comp & x_all).bit_count()
-               + k * (comp & y_all).bit_count() + eb) & 1
-        comps.append((comp, bool(odd)))
-        hw += odd
+        # X-vertices have even upper target 2, so only Y counts here.
+        odd = bool((k * (comp & y_all).bit_count() + eb) & 1)
+        comps.append(Component(bit_tuple(comp), odd))
+        s -= odd
         rem &= ~comp
-    s = 2 * (a_mask & x_all).bit_count() + k * (a_mask & y_all).bit_count()
-    s -= k * (b_mask & y_all).bit_count()
-    bb = b_mask
-    while bb:
-        lb = bb & -bb
-        bb ^= lb
-        s += (adjg[lb.bit_length() - 1] & ~a_mask).bit_count()
-    return s - hw, comps, hw
-
-
-def _masks_of_pair(g: BipartiteGraph, a: Iterable[int], b: Iterable[int]
-                   ) -> tuple[int, int]:
-    n_total = g.x_count + g.y_count
-    a_mask = mask_of(a)
-    b_mask = mask_of(b)
-    if (a_mask | b_mask) >> n_total:
-        raise ValueError(f"vertex id outside 0..{n_total - 1}")
-    if a_mask & b_mask:
-        raise ValueError("A and B overlap")
-    return a_mask, b_mask
-
-
-def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
-          spec: DegreeSpec) -> Barrier:
-    """Evaluate the deficiency of the disjoint pair (A, B), returning the
-    populated record (delta value, component classification, odd count)."""
-    a_mask, b_mask = _masks_of_pair(g, a, b)
-    adjg = _global_adjacency(g)
-    dlt, comps, hw = _evaluate(adjg, g.x_count, g.x_count + g.y_count,
-                               spec.k, a_mask, b_mask)
-    return Barrier(
-        a=bit_tuple(a_mask),
-        b=bit_tuple(b_mask),
-        delta=dlt,
-        components=tuple(Component(bit_tuple(cm), od) for cm, od in comps),
-        hw=hw)
+    return Barrier(bit_tuple(a_mask), bit_tuple(b_mask), s, tuple(comps))
 
 
 def classify_component(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
@@ -240,7 +227,11 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     code of C = V - U, where every vertex has digit at least 1, plus
     3^y for each y in B, so the first barrier is tracked in the same
     walk.  Hosts above the vertex budget b, or with more than
-    2^ceil(b/2) * 3^floor(b/2) pairs, are refused before the walk."""
+    2^ceil(b/2) * 3^floor(b/2) pairs, are refused before the walk.
+
+    Both pairs are returned as `Barrier` records built by `delta`; a
+    re-evaluated delta that differs from the walk's raises
+    RuntimeError."""
     nx, ny = g.x_count, g.y_count
     n_total = nx + ny
     limit = _budget.resolve(budget, _budget.DEFAULT_CRITERION_BUDGET)
@@ -364,24 +355,20 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             odd_mask ^= affect[j]
     if best_state is None:  # the (empty, empty) pair is always scanned
         raise RuntimeError("deficiency scan evaluated no pair")
-    best_b, best_a = lex_of(*best_state)
-    first = None
-    if first_state is not None:
-        first_b, first_a = lex_of(*first_state)
-        first = (first_a, first_b, first_d)
-    return ScanResult(best_d, best_a, best_b,
-                      ScanStats(evaluated, odd_deltas, parity_checked), first)
 
+    def checked(state: tuple[int, int, list[int]], want: int) -> Barrier:
+        # Re-evaluate the chosen pair through `delta` and require the
+        # delta the walk found for it.
+        b_ids, a_ids = lex_of(*state)
+        rec = delta(g, a_ids, b_ids, spec)
+        if rec.delta != want:
+            raise RuntimeError(f"pair A={a_ids} B={b_ids} re-evaluates to "
+                               f"delta {rec.delta}, scan found {want}")
+        return rec
 
-def _checked(g: BipartiteGraph, spec: DegreeSpec, a: tuple[int, ...],
-             b: tuple[int, ...], want: int) -> Barrier:
-    """Re-evaluate a pair chosen by the scan through `delta` and require
-    the delta the scan found for it."""
-    rec = delta(g, a, b, spec)
-    if rec.delta != want:
-        raise RuntimeError(f"pair A={a} B={b} re-evaluates to delta "
-                           f"{rec.delta}, scan found {want}")
-    return rec
+    first = None if first_state is None else checked(first_state, first_d)
+    return ScanResult(checked(best_state, best_d), first,
+                      ScanStats(evaluated, odd_deltas, parity_checked))
 
 
 def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
@@ -390,23 +377,20 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     non-negative on every disjoint pair.  When barriers exist, the one
     returned is the first in base-3 counting order over assignment
     vectors (vertex 0 is the fastest digit; 0 = untouched, 1 = A,
-    2 = B).  It has B inside Y, so the deficiency scan finds it in its
-    own walk; `stats` are the scan's."""
+    2 = B): the scan's checked `first` record.  `stats` are the scan's."""
     scan = deficiency_scan(g, spec, budget)
-    if scan.first is None:
-        return CriterionResult(True, None, scan.stats)
-    a, b, want = scan.first
-    return CriterionResult(False, _checked(g, spec, a, b, want), scan.stats)
+    return CriterionResult(scan.first is None, scan.first, scan.stats)
 
 
 def find_biased_barrier(g: BipartiteGraph, spec: DegreeSpec,
                         budget: int | None = None) -> Barrier:
-    """The unique biased barrier; raises FactorExistsError when the graph
-    has a (2,k)-factor (no barrier exists)."""
+    """The unique biased barrier, the scan's checked `biased` record;
+    raises FactorExistsError when the graph has a (2,k)-factor (no
+    barrier exists)."""
     scan = deficiency_scan(g, spec, budget)
-    if scan.min_delta >= 0:
+    if scan.biased.delta >= 0:
         raise FactorExistsError("graph has a (2,k)-factor")
-    return _checked(g, spec, scan.best_a, scan.best_b, scan.min_delta)
+    return scan.biased
 
 
 def h_of_z(g: BipartiteGraph, barrier: Barrier, z: Iterable[int]) -> int:

@@ -19,7 +19,6 @@ from bergefactor import (
     check_barrier_structure,
     decide_by_criterion,
     deficiency_scan,
-    delta,
     enumerate_bipartite_graphs,
     enumerate_hypergraphs,
     find_2k_factor,
@@ -135,9 +134,8 @@ def suite2():
         scans += 1
         odd += res.stats.odd_deltas
         if not found:
-            assert res.min_delta < 0, "solver found no factor yet no barrier"
-            br = delta(g, res.best_a, res.best_b, spec)
-            rep = check_barrier_structure(g, br, spec)
+            assert res.biased.delta < 0, "solver found no factor yet no barrier"
+            rep = check_barrier_structure(g, res.biased, spec)
             structure_checked += 1
             if not rep.ok:
                 structure_failures += 1
@@ -156,7 +154,8 @@ def suite2():
 def _suite3_instance(stats, g, k, run_decide):
     spec = DegreeSpec(k)
     scan = deficiency_scan(g, spec)
-    criterion_exists = scan.min_delta >= 0
+    criterion_exists = scan.biased.delta >= 0
+    assert scan.biased.delta == -oracles.gadget_deficiency(g, k), (g, k)
     factor = find_2k_factor(g, spec)
     solver_exists = factor is not None
     agree = criterion_exists == solver_exists
@@ -174,8 +173,7 @@ def _suite3_instance(stats, g, k, run_decide):
         stats["scans"] += 1
         stats["odd_deltas"] += scan.stats.odd_deltas
         if not solver_exists:
-            br = delta(g, scan.best_a, scan.best_b, spec)
-            rep = check_barrier_structure(g, br, spec)
+            rep = check_barrier_structure(g, scan.biased, spec)
             stats["structure_checked"] += 1
             if not rep.ok:
                 stats["structure_failures"] += 1

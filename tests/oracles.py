@@ -246,6 +246,34 @@ def first_barrier_ternary(nx, ny, rows, k):
     return None
 
 
+def gadget_deficiency(g, k):
+    """|V| - 2 nu of the split-incidence gadget of the bipartite graph g
+    at degree k: per incidence (x, y) an end e_x and an end e_y joined
+    by an edge; per X-vertex a joined pair, both members adjacent to
+    every e_x of x; per Y-vertex k copies, each adjacent to every e_y of
+    y.  Built here even where a Y-vertex has degree < k, and matched
+    with the package's blossom matcher."""
+    from bergefactor.matching import GeneralGraph, max_matching
+
+    n = 0
+    edges = []
+    ends_of = {v: [] for v in range(g.x_count + g.y_count)}
+    for x, ys in enumerate(g.neighbors):
+        for y in ys:
+            ex, ey = n, n + 1
+            n += 2
+            edges.append((ex, ey))
+            ends_of[x].append(ex)
+            ends_of[g.x_count + y].append(ey)
+    for v, ends in ends_of.items():
+        hubs = list(range(n, n + (2 if v < g.x_count else k)))
+        n += len(hubs)
+        if v < g.x_count:
+            edges.append(tuple(hubs))
+        edges += [(e, h) for e in ends for h in hubs]
+    return n - 2 * len(max_matching(GeneralGraph(n, edges)))
+
+
 def _augment_from_reference(root, adj, match, n):
     # BFS over outer vertices; p[] holds the traversal parent of outer
     # vertices, base[] the blossom base each vertex currently maps to.

@@ -12,6 +12,7 @@ from bergefactor import (
     Infeasible,
     build_gadget,
     decide_by_criterion,
+    deficiency_scan,
     find_2k_factor,
     find_berge_k_factor,
     incidence_graph,
@@ -148,6 +149,8 @@ def test_solver_agrees_with_criterion_random():
         f = find_2k_factor(g, DegreeSpec(k))
         res = decide_by_criterion(g, DegreeSpec(k))
         assert (f is not None) == res.exists
+        scan = deficiency_scan(g, DegreeSpec(k))
+        assert scan.biased.delta == -oracles.gadget_deficiency(g, k), (g, k)
 
 
 def test_cross_check_mode_runs():

@@ -28,14 +28,54 @@ else:
 """
 
 
-def test_solver_rejects_unverified_factor_under_O():
+def _run_under_O(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", _REJECTING_VERIFIER],
+    out = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: gadget extraction produced a bad "
-                                 "factor: rejected on purpose"), out.stdout
+    return out.stdout
+
+
+def test_solver_rejects_unverified_factor_under_O():
+    out = _run_under_O(_REJECTING_VERIFIER)
+    assert out.startswith("raised: gadget extraction produced a bad "
+                          "factor: rejected on purpose"), out
+
+
+_WRONG_DELTA = """
+import dataclasses
+
+import bergefactor.parity_criterion as pc
+from bergefactor import DegreeSpec, incidence_graph
+from bergefactor.families import star
+
+assert False, "this child must run with -O"
+real = pc.delta
+
+
+def wrong(*args):
+    rec = real(*args)
+    return dataclasses.replace(rec, delta=rec.delta + 2)
+
+
+pc.delta = wrong
+g = incidence_graph(star(3))
+for fn in (pc.deficiency_scan, pc.decide_by_criterion, pc.find_biased_barrier):
+    try:
+        fn(g, DegreeSpec(1))
+    except RuntimeError as e:
+        print(fn.__name__, "raised:", e)
+    else:
+        print(fn.__name__, "returned an unchecked pair")
+"""
+
+
+def test_scan_rejects_misevaluated_pair_under_O():
+    lines = _run_under_O(_WRONG_DELTA).splitlines()
+    assert [ln.split(" raised: ")[0] for ln in lines] == [
+        "deficiency_scan", "decide_by_criterion", "find_biased_barrier"], lines
+    assert all("re-evaluates to delta" in ln for ln in lines), lines
 
 
 def test_package_has_no_assert_statements():

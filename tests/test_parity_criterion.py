@@ -125,8 +125,8 @@ def test_scan_matches_full_pair_space():
             got = deficiency_scan(g, spec)
             want_min, want_pair, saw_odd = oracles.scan_all_pairs(
                 g.x_count, g.y_count, g.neighbors, k)
-            assert got.min_delta == want_min
-            assert (got.best_a, got.best_b) == want_pair
+            assert got.biased.delta == want_min
+            assert (got.biased.a, got.biased.b) == want_pair
             if k * g.y_count % 2 == 0:
                 assert not saw_odd
                 assert got.stats.odd_deltas == 0
@@ -136,8 +136,8 @@ def test_scan_matches_full_pair_space():
 def test_scan_star_frozen_values():
     g = incidence_graph(star(3))
     res = deficiency_scan(g, DegreeSpec(1))
-    assert res.min_delta == -2
-    assert (res.best_a, res.best_b) == ((3,), ())
+    assert res.biased.delta == -2
+    assert (res.biased.a, res.biased.b) == ((3,), ())
     assert res.stats.evaluated == 648  # 2^3 * 3^4 pairs with B inside Y
     assert res.stats.odd_deltas == 0
 
@@ -161,6 +161,20 @@ def test_scan_even_parity_exhaustive():
                 a = [v for v in range(n) if digits[v] == 1]
                 b = [v for v in range(n) if digits[v] == 2]
                 assert delta(g, a, b, spec).delta % 2 == 0, (g, k, a, b)
+
+
+def test_scan_minimum_is_gadget_deficiency_k3():
+    """The scan's minimum deficiency is minus the gadget's matching
+    deficiency (the Tutte-Berge formula of the split-incidence gadget),
+    compared as values on the whole |X| + |Y| <= 6 census at k = 3."""
+    from bergefactor.harness import enumerate_bipartite_graphs
+
+    hosts = 0
+    for g in enumerate_bipartite_graphs(6):
+        got = deficiency_scan(g, DegreeSpec(3)).biased.delta
+        assert got == -oracles.gadget_deficiency(g, 3), g
+        hosts += 1
+    assert hosts == 795
 
 
 def test_scan_budget():
@@ -343,11 +357,10 @@ def test_structure_holds_on_all_small_barriers():
             if k * g.y_count % 2:
                 continue
             res = deficiency_scan(g, DegreeSpec(k))
-            if res.min_delta >= 0:
+            if res.biased.delta >= 0:
                 continue
-            br = delta(g, res.best_a, res.best_b, DegreeSpec(k))
-            rep = check_barrier_structure(g, br, DegreeSpec(k))
-            assert rep.ok, (g, k, br)
+            rep = check_barrier_structure(g, res.biased, DegreeSpec(k))
+            assert rep.ok, (g, k, res.biased)
             checked += 1
     assert checked > 50
 
