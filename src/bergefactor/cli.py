@@ -74,10 +74,13 @@ def _cmd_barrier(args) -> int:
     except FactorExistsError:
         print(f"no barrier: a (2,{args.k})-factor exists")
         return 1
+    # Checked before the certificate is written, so an error exit (odd
+    # k * |Y|) never carries one.
+    report = (check_barrier_structure(g, br, spec)
+              if args.check_structure else None)
     sys.stdout.write(serialize_bar(br))
-    if not args.check_structure:
+    if report is None:
         return 0
-    report = check_barrier_structure(g, br, spec)
     for name, cc in (("i", report.i), ("ii", report.ii),
                      ("iii", report.iii), ("iv", report.iv)):
         msg = "pass" if cc.passed else f"fail ({cc.witness})"

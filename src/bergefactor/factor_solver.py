@@ -64,44 +64,39 @@ class FactorSubgraph:
 def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasible:
     """Expand the host graph into the split-incidence gadget, or report
     the first Y-vertex (by index) that is infeasibly sparse.  Vertex ids
-    follow host-vertex order: each host vertex's incidence ends, in
-    neighbor order, then its pair or its copies."""
+    follow host-vertex order: an X-vertex owns its incidence ends in
+    neighbor order, then its pair; a Y-vertex owns its ends in X order,
+    then its k copies.  Every id is computed up front or on the fly, so
+    one pass over the host vertices emits the edges already in ascending
+    (smaller, larger) order."""
     nx = g.x_count
     k = spec.k
-    for j in range(g.y_count):
-        d = len(g.y_neighbors[j])
-        if d < k:
-            return Infeasible(j, d, k)
+    # First free Y-end of each Y-block, advanced as X-vertices claim them.
+    y_next: list[int] = []
+    v = sum(len(ys) for ys in g.neighbors) + 2 * nx
+    for j, xs in enumerate(g.y_neighbors):
+        if len(xs) < k:
+            return Infeasible(j, len(xs), k)
+        y_next.append(v)
+        v += len(xs) + k
     owner: list[int] = []
     edges: list[tuple[int, int]] = []
-    # Incidence end ids per host edge (x, nx + y), in global coordinates.
-    x_end: dict[tuple[int, int], int] = {}
-    y_end: dict[tuple[int, int], int] = {}
-
-    def add(host: int) -> int:
-        owner.append(host)
-        return len(owner) - 1
-
-    def ends(host: int, incident: list[tuple[int, int]],
-             at: dict[tuple[int, int], int]) -> list[int]:
-        for he in incident:
-            at[he] = add(host)
-        return [at[he] for he in incident]
-
-    def join(hubs: tuple[int, ...], own: list[int]) -> None:
-        edges.extend((e, h) for h in hubs for e in own)
-
-    for x in range(nx):
-        own = ends(x, [(x, nx + y) for y in g.neighbors[x]], x_end)
-        pair = (add(x), add(x))
-        edges.append(pair)
-        join(pair, own)
-    for j in range(g.y_count):
-        own = ends(nx + j, [(x, nx + j) for x in g.y_neighbors[j]], y_end)
-        join(tuple(add(nx + j) for _ in range(k)), own)
-
-    inter = {he: (e, y_end[he]) for he, e in x_end.items()}
-    edges.extend(inter.values())
+    inter: dict[tuple[int, int], tuple[int, int]] = {}
+    for x, ys in enumerate(g.neighbors):
+        e = len(owner)
+        pair = e + len(ys)
+        owner += [x] * (len(ys) + 2)
+        for y in ys:
+            inter[x, nx + y] = (e, y_next[y])
+            edges += ((e, pair), (e, pair + 1), (e, y_next[y]))
+            y_next[y] += 1
+            e += 1
+        edges.append((pair, pair + 1))
+    for j, xs in enumerate(g.y_neighbors):
+        e = len(owner)
+        copies = range(e + len(xs), e + len(xs) + k)
+        owner += [nx + j] * (len(xs) + k)
+        edges += ((end, c) for end in range(e, copies.start) for c in copies)
     return GadgetGraph(GeneralGraph(len(owner), edges), tuple(owner), inter)
 
 

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .budget import BudgetExceededError
 from .factor_solver import find_2k_factor, lift_to_berge
-from .hypergraph import Hypergraph, ToughnessValue, components, toughness
+from .hypergraph import Hypergraph, ToughnessValue, toughness
 from .incidence import BipartiteGraph, incidence_graph
 from .parity_criterion import Barrier, DegreeSpec, find_biased_barrier
 
@@ -48,7 +48,6 @@ class GenParams:
     m: int
     law: EdgeSizeLaw
     seed: int
-    connected_only: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -66,16 +65,11 @@ def gen_random_hypergraph(p: GenParams) -> Hypergraph:
             f"edge size law lo={p.law.lo} is impossible on {p.n} vertices")
     hi = min(p.law.hi, p.n)
     rng = random.Random(p.seed)
-    attempts = 1000 if p.connected_only else 1
-    for _ in range(attempts):
-        edges = []
-        for _ in range(p.m):
-            size = rng.randint(p.law.lo, hi)
-            edges.append(tuple(sorted(rng.sample(range(p.n), size))))
-        h = Hypergraph(p.n, sorted(edges))
-        if not p.connected_only or len(components(h)) == 1:
-            return h
-    raise ValueError("no connected hypergraph within 1000 draws")
+    edges = []
+    for _ in range(p.m):
+        size = rng.randint(p.law.lo, hi)
+        edges.append(tuple(sorted(rng.sample(range(p.n), size))))
+    return Hypergraph(p.n, sorted(edges))
 
 
 def gen_random_bipartite(x_count: int, y_count: int, density: float,
@@ -134,16 +128,18 @@ def enumerate_graph_edge_sets(n: int) -> Iterator[Hypergraph]:
 
 @dataclass(frozen=True)
 class ExhaustiveMode:
+    """Every hypergraph with edges of size >= 2 and at most max_edges
+    edges."""
+
     max_edges: int = 6
-    min_size: int = 2
 
 
 @dataclass(frozen=True)
 class RandomMode:
+    """`trials` seeded random hypergraphs, each with 1..6 edges."""
+
     trials: int
     seed: int
-    m_lo: int = 1
-    m_hi: int = 6
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def verify_theorem(n_range: tuple[int, int], k: int,
                 f"exhaustive theorem verification supports n <= 5, got {n_hi}")
         instances: Iterator[Hypergraph] = (
             h for n in range(n_lo, n_hi + 1)
-            for h in enumerate_hypergraphs(n, mode.max_edges, mode.min_size))
+            for h in enumerate_hypergraphs(n, mode.max_edges))
         seed = None
         desc = f"exhaustive n<={n_hi} m<={mode.max_edges}"
     else:
@@ -205,7 +201,7 @@ def verify_theorem(n_range: tuple[int, int], k: int,
             rng = random.Random(mode.seed)
             for _ in range(mode.trials):
                 n = rng.randint(n_lo, n_hi)
-                m = rng.randint(mode.m_lo, mode.m_hi)
+                m = rng.randint(1, 6)
                 yield gen_random_hypergraph(
                     GenParams(n, m, EdgeSizeLaw(2, n), rng.getrandbits(32)))
 

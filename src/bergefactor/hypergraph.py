@@ -134,12 +134,7 @@ def components(h: Hypergraph) -> list[tuple[int, ...]]:
     member.  Vertices are connected when a chain of pairwise
     intersecting edges joins them; edgeless vertices are singletons."""
     parent = list(range(h.n))
-    for edge in h.edges:
-        a = _find(parent, edge[0])
-        for v in edge[1:]:
-            b = _find(parent, v)
-            if b != a:
-                parent[b] = a
+    _component_count(parent, h.edge_masks, 0)
     groups: dict[int, list[int]] = {}
     for v in range(h.n):
         groups.setdefault(_find(parent, v), []).append(v)
@@ -167,10 +162,12 @@ def strong_delete(h: Hypergraph, s: Iterable[int]) -> StrongDeletion:
     return StrongDeletion(Hypergraph(len(keep), new_edges), vmap, emap)
 
 
-def _component_count(n: int, edge_masks: Sequence[int], s_mask: int) -> int:
-    """Components of H - S, counting edgeless survivors as singletons."""
-    parent = list(range(n))
-    count = n - s_mask.bit_count()
+def _component_count(parent: list[int], edge_masks: Sequence[int],
+                     s_mask: int) -> int:
+    """Components of H - S, counting edgeless survivors as singletons.
+    Merges the survivors in `parent`, a union-find list over all
+    n = len(parent) vertices, which the caller passes as the identity."""
+    count = len(parent) - s_mask.bit_count()
     for em in edge_masks:
         if em & s_mask:
             continue
@@ -219,7 +216,7 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
             break
         s_mask = (1 << size) - 1
         while s_mask < full:
-            c = _component_count(n, masks, s_mask)
+            c = _component_count(list(range(n)), masks, s_mask)
             if c >= 2:
                 if bd == 0 or size * bd < bn * c:
                     bn, bd, best_mask = size, c, s_mask

@@ -22,18 +22,20 @@ from typing import Iterable
 
 class GeneralGraph:
     """Simple undirected graph on 0..n-1; loops rejected, parallel edges
-    collapse."""
+    collapse.  Edges are canonicalised to (smaller, larger) in an
+    insertion-ordered dict, so an edge list that is already canonical
+    and sorted keeps its order and sorts in one linear pass."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = set()
+        canon: dict[tuple[int, int], None] = {}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            canon.add((u, v) if u < v else (v, u))
+            canon[(u, v) if u < v else (v, u)] = None
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
 

@@ -7,7 +7,7 @@ import pytest
 
 from bergefactor import BipartiteGraph, DegreeSpec, delta, incidence_graph
 from bergefactor.cli import cli
-from bergefactor.families import complete_uniform, cycle, star
+from bergefactor.families import complete_uniform, cycle, path, star
 from bergefactor.formats import serialize_bar, serialize_big, serialize_hg
 
 
@@ -107,6 +107,18 @@ def test_barrier_check_structure(capsys, star_hg):
     assert "clause i: pass" in out
     assert "clause iv: pass" in out
     assert out.rstrip().endswith("structure: pass")
+
+
+def test_barrier_check_structure_odd_product_writes_nothing(capsys, tmp_path):
+    # path(3) has |Y| = 3, so k * |Y| is odd at k = 1: a usage error,
+    # and no barrier certificate on stdout
+    f = tmp_path / "p3.hg"
+    f.write_text(serialize_hg(path(3)))
+    code, out, err = run(capsys, "barrier", str(f), "-k", "1",
+                         "--check-structure")
+    assert code == 2
+    assert out == ""
+    assert err == "error: structure checks require k * |Y| to be even\n"
 
 
 # ---------------------------------------------------------------- factor

@@ -72,6 +72,24 @@ def test_gadget_sizes():
     assert len(gg.inter_edges) == 3
 
 
+def test_gadget_layout():
+    # the vertex numbering fixes max_matching's scan order, and so the
+    # factor it returns: X-blocks (ends in neighbor order, then the
+    # pair), then Y-blocks (ends in X order, then the k copies)
+    g = BipartiteGraph(2, 2, [(0, 1), (0, 1)])
+    gg = build_gadget(g, DegreeSpec(2))
+    assert gg.owner == (0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3)
+    assert gg.graph.n == 16
+    assert gg.graph.edges == (
+        (0, 2), (0, 3), (0, 8), (1, 2), (1, 3), (1, 12), (2, 3),
+        (4, 6), (4, 7), (4, 9), (5, 6), (5, 7), (5, 13), (6, 7),
+        (8, 10), (8, 11), (9, 10), (9, 11),
+        (12, 14), (12, 15), (13, 14), (13, 15))
+    assert list(gg.inter_edges.items()) == [
+        ((0, 2), (0, 8)), ((0, 3), (1, 12)),
+        ((1, 2), (4, 9)), ((1, 3), (5, 13))]
+
+
 def test_degree_one_x_takes_degree_zero():
     # a degree-1 X-vertex cannot fill its pair, so it is forced to degree
     # 0; the Y-vertex then keeps no incidence and k = 1 fails

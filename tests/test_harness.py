@@ -53,14 +53,6 @@ def test_gen_random_hypergraph_law_clamping():
         gen_random_hypergraph(GenParams(2, 1, EdgeSizeLaw(3, 3), seed=1))
 
 
-def test_gen_random_hypergraph_connected_only():
-    from bergefactor import components
-    for seed in range(10):
-        h = gen_random_hypergraph(
-            GenParams(5, 3, EdgeSizeLaw(2, 3), seed, connected_only=True))
-        assert len(components(h)) == 1
-
-
 def test_gen_random_bipartite():
     g = gen_random_bipartite(4, 5, 0.4, seed=7)
     assert g == gen_random_bipartite(4, 5, 0.4, seed=7)
