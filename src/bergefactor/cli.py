@@ -13,12 +13,12 @@ from pathlib import Path
 
 from .budget import BudgetExceededError
 from .factor_solver import berge_pairs, find_2k_factor, find_berge_k_factor
-from .formats import (FormatError, load_barrier, load_bipartite,
-                      load_certificate, load_hypergraph, serialize_bar,
-                      serialize_big, serialize_bkf)
+from .formats import (load_barrier, load_bipartite, load_certificate,
+                      load_hypergraph, serialize_bar, serialize_big,
+                      serialize_bkf)
 from .harness import ExhaustiveMode, RandomMode, tightness_search, verify_theorem
 from .hypergraph import toughness, verify_berge_factor
-from .incidence import incidence_graph, y_toughness
+from .incidence import hypergraph_of, incidence_graph, y_toughness
 from .parity_criterion import (DegreeSpec, FactorExistsError,
                                check_barrier_structure, decide_by_criterion,
                                delta, find_biased_barrier)
@@ -119,7 +119,7 @@ def _cmd_factor(args) -> int:
 def _cmd_verify(args) -> int:
     cert_path = Path(args.cert)
     if cert_path.suffix == ".bkf":
-        h = load_hypergraph(args.file)
+        h = hypergraph_of(load_bipartite(args.file))
         verdict = verify_berge_factor(h, load_certificate(cert_path))
         if verdict:
             print("accept")
@@ -307,10 +307,7 @@ def cli(argv: list[str] | None = None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

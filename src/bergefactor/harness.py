@@ -30,14 +30,6 @@ class EdgeSizeLaw:
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def fixed(cls, r: int) -> "EdgeSizeLaw":
-        return cls(r, r)
-
-    @classmethod
-    def uniform(cls, lo: int, hi: int) -> "EdgeSizeLaw":
-        return cls(lo, hi)
-
 
 @dataclass(frozen=True)
 class GenParams:
@@ -87,21 +79,21 @@ def gen_random_bipartite(x_count: int, y_count: int, density: float,
     return BipartiteGraph(x_count, y_count, rows)
 
 
-def possible_edges(n: int, min_size: int = 2) -> list[tuple[int, ...]]:
-    """All candidate hyperedges on n vertices with at least min_size
-    vertices, in ascending tuple order."""
+def possible_edges(n: int) -> list[tuple[int, ...]]:
+    """All candidate hyperedges on n vertices with at least 2 vertices,
+    in ascending tuple order."""
     out: list[tuple[int, ...]] = []
-    for r in range(min_size, n + 1):
+    for r in range(2, n + 1):
         out.extend(combinations(range(n), r))
     out.sort()
     return out
 
 
-def enumerate_hypergraphs(n: int, max_edges: int,
-                          min_size: int = 2) -> Iterator[Hypergraph]:
-    """Every hypergraph on n labeled vertices given as a sorted edge
-    multiset with at most max_edges edges (no isomorphism rejection)."""
-    pe = possible_edges(n, min_size)
+def enumerate_hypergraphs(n: int, max_edges: int) -> Iterator[Hypergraph]:
+    """Every hypergraph on n labeled vertices given as a sorted multiset
+    of edges of size at least 2, with at most max_edges edges (no
+    isomorphism rejection)."""
+    pe = possible_edges(n)
     for t in range(max_edges + 1):
         for combo in combinations_with_replacement(pe, t):
             yield Hypergraph(n, list(combo))

@@ -190,7 +190,8 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
 
     Returns the minimum |S| / c(H - S) over all S with c(H - S) >= 2, as a
     Fraction, together with the smallest and then lexicographically least
-    minimizing S.  Returns the infinite value when no such S exists.
+    minimizing S.  Returns the infinite value when no such S exists,
+    which `is_complete` decides before any scan.
 
     Level s holds the cutsets of size s.  H - S has at most n - s
     components, so no cutset of size s or more falls below the best ratio
@@ -203,6 +204,8 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
         raise ValueError("toughness needs at least one vertex")
     limit = _budget.resolve(budget, _budget.DEFAULT_VERTEX_BUDGET)
     _budget.check("toughness", h.n, limit)
+    if is_complete(h):
+        return ToughnessValue(None, None)
     masks = h.edge_masks
     n = h.n
     full = 1 << n
@@ -234,11 +237,15 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     return ToughnessValue(Fraction(bn, bd), bit_tuple(best_mask))
 
 
-def is_complete(h: Hypergraph, budget: int | None = None) -> bool:
+def is_complete(h: Hypergraph) -> bool:
     """True when every deletion of at most n-2 vertices leaves a connected
     remainder (a single surviving vertex counts as connected), that is,
-    when the toughness is infinite."""
-    return h.n == 0 or toughness(h, budget).infinite
+    when the toughness is infinite.  That holds exactly when every
+    vertex pair is itself a 2-edge: deleting V - {u, v} strongly removes
+    every edge but those inside {u, v}, and a remainder keeps all the
+    2-edges among its own vertices."""
+    pairs = {e for e in h.edges if len(e) == 2}
+    return len(pairs) == h.n * (h.n - 1) // 2
 
 
 def verify_berge_factor(h: Hypergraph, cert: BergeFactorCertificate) -> Verdict:

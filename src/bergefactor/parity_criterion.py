@@ -27,6 +27,7 @@ from typing import Iterable
 
 from . import budget as _budget
 from ._bits import bit_tuple, mask_of
+from .hypergraph import Hypergraph, components
 from .incidence import BipartiteGraph
 
 
@@ -147,7 +148,9 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
     """Evaluate the deficiency of the disjoint pair (A, B), returning the
     populated record (delta value and component classification).  This
     is the one evaluator: the scan re-checks every pair it returns
-    through it."""
+    through it.  The components come from the union-find kernel of
+    `hypergraph.components`, not from the scan's per-U fill, so the
+    check does not share the walk's component algorithm."""
     nx = g.x_count
     n_total = nx + g.y_count
     a_mask = mask_of(a)
@@ -158,11 +161,9 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
         raise ValueError("A and B overlap")
     adjg = _global_adjacency(g)
     k = spec.k
-    all_mask = (1 << n_total) - 1
     x_all = (1 << nx) - 1
-    y_all = all_mask & ~x_all
-    rest = all_mask & ~(a_mask | b_mask)
-    comps: list[Component] = []
+    y_all = ((1 << n_total) - 1) & ~x_all
+    cut = a_mask | b_mask
     s = 2 * (a_mask & x_all).bit_count() + k * (a_mask & y_all).bit_count()
     s -= k * (b_mask & y_all).bit_count()
     bb = b_mask
@@ -170,28 +171,21 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
         lb = bb & -bb
         bb ^= lb
         s += (adjg[lb.bit_length() - 1] & ~a_mask).bit_count()
-    rem = rest
-    while rem:
-        low = rem & -rem
-        comp = low
-        frontier = low
-        eb = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                lb = f & -f
-                f ^= lb
-                av = adjg[lb.bit_length() - 1]
-                nxt |= av
-                eb += (av & b_mask).bit_count()
-            frontier = nxt & rest & ~comp
-            comp |= frontier
+    # G - (A + B) as a 2-uniform hypergraph on the global ids; the
+    # vertices of A + B come back as singletons and are skipped.
+    rest = Hypergraph(n_total, [(x, nx + y)
+                                for x, nbrs in enumerate(g.neighbors)
+                                if not cut >> x & 1
+                                for y in nbrs if not cut >> (nx + y) & 1])
+    comps: list[Component] = []
+    for comp in components(rest):
+        if cut >> comp[0] & 1:
+            continue
+        eb = sum((adjg[v] & b_mask).bit_count() for v in comp)
         # X-vertices have even upper target 2, so only Y counts here.
-        odd = bool((k * (comp & y_all).bit_count() + eb) & 1)
-        comps.append(Component(bit_tuple(comp), odd))
+        odd = bool((k * sum(v >= nx for v in comp) + eb) & 1)
+        comps.append(Component(comp, odd))
         s -= odd
-        rem &= ~comp
     return Barrier(bit_tuple(a_mask), bit_tuple(b_mask), s, tuple(comps))
 
 

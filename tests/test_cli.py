@@ -176,6 +176,40 @@ def test_verify_rejects_bad_certificate(capsys, tmp_path, c5_hg):
     assert out.startswith("reject: degree violated")
 
 
+@pytest.fixture
+def d_big(tmp_path):
+    f = tmp_path / "d.big"
+    f.write_text("4 3\n0 1\n1 2\n0 2\n0 1\n")
+    return str(f)
+
+
+def test_verify_factor_of_big_roundtrip(capsys, tmp_path, d_big):
+    cert = tmp_path / "d.bkf"
+    code, _, _ = run(capsys, "factor", d_big, "-k", "2", "-o", str(cert))
+    assert code == 0
+    code, out, err = run(capsys, "verify", d_big, str(cert))
+    assert (code, out, err) == (0, "accept\n", "")
+
+
+def test_verify_big_rejects_pair_outside_row(capsys, tmp_path, d_big):
+    cert = tmp_path / "d.bkf"
+    cert.write_text("2 3\n0 0 2\n1 1 2\n2 0 1\n")  # X-row 0 is {0, 1}
+    code, out, _ = run(capsys, "verify", d_big, str(cert))
+    assert code == 1
+    assert out == ("reject: containment violated: "
+                   "(0, 2) not inside hyperedge 0\n")
+
+
+def test_verify_big_with_isolated_x_is_input_error(capsys, tmp_path):
+    big = tmp_path / "iso.big"
+    big.write_text("2 2\n0 1\n\n")
+    cert = tmp_path / "iso.bkf"
+    cert.write_text("1 1\n0 0 1\n")
+    code, out, err = run(capsys, "verify", str(big), str(cert))
+    assert (code, out) == (2, "")
+    assert "not hypergraph-representable" in err
+
+
 def test_verify_barrier_roundtrip(capsys, tmp_path, star_hg):
     br = delta(incidence_graph(star(3)), [3], [], DegreeSpec(1))
     f = tmp_path / "b.bar"

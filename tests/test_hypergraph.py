@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -211,10 +212,16 @@ def test_toughness_stops_at_survivor_bound(monkeypatch):
     # 12 components, and no 2-set can beat 1/12 with at most 11.
     assert toughness(star(12)).value == Fraction(1, 12)
     assert calls == 14
-    # Infinite toughness: no ratio to prune against, all 2^6 subsets.
+    # Infinite toughness is the pair condition: no scan at all.
     calls = 0
     assert toughness(complete_graph(6)).infinite
-    assert calls == 64
+    assert calls == 0
+    # One pair short of complete: the scan runs and stops after level 4
+    # (ratio 4/2 = 2, and 5 / (6 - 5) cannot beat it).
+    calls = 0
+    k6_less_one = Hypergraph(6, complete_graph(6).edges[1:])
+    assert toughness(k6_less_one) == ToughnessValue(Fraction(2), (2, 3, 4, 5))
+    assert calls == 57
 
 
 def test_toughness_budget_refusal():
@@ -235,17 +242,19 @@ def test_toughness_budget_env_override(monkeypatch):
 
 def test_is_complete_matches_infinite_toughness():
     rng = random.Random(13)
-    for _ in range(40):
+    for trial in range(80):
         n = rng.randint(1, 6)
         m = rng.randint(0, 6)
-        edges = []
+        # Every other input starts from all 2-edges, possibly less one,
+        # so complete and near-complete inputs both occur.
+        edges = [] if trial % 2 else list(combinations(range(n), 2))
+        if edges and rng.random() < 0.5:
+            edges.pop(rng.randrange(len(edges)))
         for _ in range(m):
             size = rng.randint(1, n)
             edges.append(tuple(sorted(rng.sample(range(n), size))))
-        h = Hypergraph(n, edges)
-        if h.n < 1:
-            continue
-        assert is_complete(h) == (
+        rng.shuffle(edges)
+        assert is_complete(Hypergraph(n, edges)) == (
             oracles.hypergraph_toughness(n, edges)[0] is None)
 
 
@@ -253,6 +262,8 @@ def test_complete_graph_is_complete():
     assert is_complete(complete_graph(4))
     assert not is_complete(cycle(4))
     assert is_complete(Hypergraph(1))
+    # A pair check, so no enumeration budget applies.
+    assert is_complete(complete_graph(25))
 
 
 # ----------------------------------------------------------- factor check

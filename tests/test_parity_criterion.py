@@ -56,6 +56,19 @@ def test_delta_worked_example():
     assert rec.hw == 3
 
 
+def _assert_delta_matches_oracle(g, spec, labels):
+    n = g.x_count + g.y_count
+    a = [v for v in range(n) if labels[v] == 1]
+    b = [v for v in range(n) if labels[v] == 2]
+    rec = delta(g, a, b, spec)
+    want, flags, hw = oracles.delta_naive(
+        g.x_count, g.y_count, g.neighbors, spec.k, a, b)
+    assert rec.delta == want
+    assert rec.hw == hw
+    assert {c.vertices for c in rec.components} == {c for c, _ in flags}
+    assert {c.vertices: c.odd for c in rec.components} == dict(flags)
+
+
 def test_delta_matches_oracle_random():
     rng = random.Random(23)
     spec_pool = [DegreeSpec(1), DegreeSpec(2), DegreeSpec(3)]
@@ -63,16 +76,25 @@ def test_delta_matches_oracle_random():
         g = _random_bipartite(rng)
         n = g.x_count + g.y_count
         spec = rng.choice(spec_pool)
-        labels = [rng.randint(0, 2) for _ in range(n)]
-        a = [v for v in range(n) if labels[v] == 1]
-        b = [v for v in range(n) if labels[v] == 2]
-        rec = delta(g, a, b, spec)
-        want, flags, hw = oracles.delta_naive(
-            g.x_count, g.y_count, g.neighbors, spec.k, a, b)
-        assert rec.delta == want
-        assert rec.hw == hw
-        assert {c.vertices for c in rec.components} == {c for c, _ in flags}
-        assert {c.vertices: c.odd for c in rec.components} == dict(flags)
+        _assert_delta_matches_oracle(
+            g, spec, [rng.randint(0, 2) for _ in range(n)])
+
+
+def test_delta_matches_oracle_on_large_hosts():
+    # Hosts of 60-240 vertices, the size a barrier projected from a
+    # failed matching is re-evaluated on; B takes X-vertices too, and
+    # sparse rows leave some X-vertices isolated.
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(60, 240)
+        nx = rng.randint(n // 4, 3 * n // 4)
+        ny = n - nx
+        density = rng.choice((0.01, 0.03, 0.06))
+        rows = [[y for y in range(ny) if rng.random() < density]
+                for _ in range(nx)]
+        g = BipartiteGraph(nx, ny, rows)
+        labels = [rng.choice((0, 0, 0, 0, 0, 0, 1, 2)) for _ in range(n)]
+        _assert_delta_matches_oracle(g, DegreeSpec(rng.randint(1, 4)), labels)
 
 
 def test_delta_rejects_overlap_and_range():
