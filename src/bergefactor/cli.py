@@ -12,7 +12,9 @@ import sys
 from pathlib import Path
 
 from .budget import BudgetExceededError
-from .factor_solver import berge_pairs, find_2k_factor, find_berge_k_factor
+# find_2k_factor is not called here since `factor` reads a .big as a
+# hypergraph, but bench/tracing.py wraps it under this module's name.
+from .factor_solver import find_2k_factor, find_berge_k_factor  # noqa: F401
 from .formats import (load_barrier, load_bipartite, load_certificate,
                       load_hypergraph, serialize_bar, serialize_big,
                       serialize_bkf)
@@ -94,14 +96,11 @@ def _cmd_barrier(args) -> int:
 def _cmd_factor(args) -> int:
     trace = print if args.trace else None
     path = Path(args.file)
-    if path.suffix == ".hg":
-        h = load_hypergraph(path)
-        cert = find_berge_k_factor(h, args.k, trace=trace)
-        g = incidence_graph(h)
-    else:
-        g = load_bipartite(path)
-        factor = find_2k_factor(g, DegreeSpec(args.k), trace=trace)
-        cert = None if factor is None else berge_pairs(factor)
+    # A .big names the hypergraph it represents; an isolated X-vertex
+    # represents none, and its factor would name no hyperedge.
+    h = (load_hypergraph(path) if path.suffix == ".hg"
+         else hypergraph_of(load_bipartite(path)))
+    cert = find_berge_k_factor(h, args.k, trace=trace)
     if cert is not None:
         text = serialize_bkf(cert)
         if args.output:
@@ -110,7 +109,8 @@ def _cmd_factor(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    br = find_biased_barrier(g, DegreeSpec(args.k), args.enum_budget)
+    br = find_biased_barrier(incidence_graph(h), DegreeSpec(args.k),
+                             args.enum_budget)
     print(f"no Berge-{args.k}-factor: barrier delta={br.delta}")
     sys.stdout.write(serialize_bar(br))
     return 1
@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     budget_opt(sp)
 
     sp = cmd("factor", _cmd_factor,
-             "construct a Berge-k-factor (.hg) or (2,k)-factor (.big)")
+             "construct a Berge-k-factor of a .hg hypergraph or of the "
+             "hypergraph a .big represents")
     sp.add_argument("file")
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("-o", "--output", metavar="CERT",

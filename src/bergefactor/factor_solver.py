@@ -168,11 +168,11 @@ def verify_2k_factor(g: BipartiteGraph, factor: FactorSubgraph) -> Verdict:
     return Verdict(True)
 
 
-def berge_pairs(factor: FactorSubgraph) -> BergeFactorCertificate:
-    """Read a Berge k-factor certificate off a (2,k)-factor of an
-    incidence graph: each X-vertex (hyperedge) of degree 2 contributes
-    the pair of its two selected Y-vertices.  Nothing is checked
-    against a hypergraph here; see `lift_to_berge`."""
+def lift_to_berge(h: Hypergraph, factor: FactorSubgraph) -> BergeFactorCertificate:
+    """Convert a (2,k)-factor of the incidence graph of `h` into a Berge
+    k-factor certificate and verify it against `h`: each X-vertex
+    (hyperedge) of degree 2 contributes the pair of its two selected
+    Y-vertices."""
     by_edge: dict[int, list[int]] = {}
     for x, y in factor.edges:
         by_edge.setdefault(x, []).append(y)
@@ -181,13 +181,7 @@ def berge_pairs(factor: FactorSubgraph) -> BergeFactorCertificate:
         if len(vs) != 2:
             raise ValueError(f"hyperedge {e} selected with degree {len(vs)}, want 2")
         pairs.append((e, (vs[0], vs[1])))
-    return BergeFactorCertificate.make(factor.k, pairs)
-
-
-def lift_to_berge(h: Hypergraph, factor: FactorSubgraph) -> BergeFactorCertificate:
-    """Convert a (2,k)-factor of the incidence graph of `h` into a Berge
-    k-factor certificate and verify it against `h`."""
-    cert = berge_pairs(factor)
+    cert = BergeFactorCertificate.make(factor.k, pairs)
     verdict = verify_berge_factor(h, cert)
     if not verdict:
         raise ValueError(f"lifted certificate is invalid: {verdict.reason}")

@@ -134,7 +134,7 @@ def components(h: Hypergraph) -> list[tuple[int, ...]]:
     member.  Vertices are connected when a chain of pairwise
     intersecting edges joins them; edgeless vertices are singletons."""
     parent = list(range(h.n))
-    _component_count(parent, h.edge_masks, 0)
+    _component_count(parent, h.edge_masks, 0, 0)
     groups: dict[int, list[int]] = {}
     for v in range(h.n):
         groups.setdefault(_find(parent, v), []).append(v)
@@ -163,10 +163,16 @@ def strong_delete(h: Hypergraph, s: Iterable[int]) -> StrongDeletion:
 
 
 def _component_count(parent: list[int], edge_masks: Sequence[int],
-                     s_mask: int) -> int:
+                     s_mask: int, need: int) -> int:
     """Components of H - S, counting edgeless survivors as singletons.
     Merges the survivors in `parent`, a union-find list over all
-    n = len(parent) vertices, which the caller passes as the identity."""
+    n = len(parent) vertices, which the caller passes as the identity.
+
+    The count starts at n - |S| and only falls as edges merge, so once
+    it drops below `need` the caller's answer is settled: the count
+    returns then, a partial value below `need` and no smaller than the
+    true count.  `need` = 0 never stops early and leaves `parent` fully
+    merged."""
     count = len(parent) - s_mask.bit_count()
     for em in edge_masks:
         if em & s_mask:
@@ -182,6 +188,8 @@ def _component_count(parent: list[int], edge_masks: Sequence[int],
             if b != a:
                 parent[b] = a
                 count -= 1
+                if count < need:
+                    return count
     return count
 
 
@@ -197,9 +205,15 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     components, so no cutset of size s or more falls below the best ratio
     found so far once s / (n - s) reaches it, and the scan stops there;
     a later level could only tie, and a tie never displaces a smaller
-    witness.  Instances above the enumeration budget (default 20
-    vertices; override per call or via BF_BUDGET) are refused, never
-    truncated."""
+    witness.  Within a level, a cutset of size s can improve or tie the
+    best ratio bn / bd only with at least need = max(2, ceil(s·bd / bn))
+    components (2 while there is no best), and each component count
+    stops as soon as it falls below that.  The count only falls as edges
+    merge, so a stopped cutset could neither improve nor tie, and no
+    value or witness changes; at s = bn, need is bd, so every tie still
+    reaches the witness comparison.  Instances above the enumeration
+    budget (default 20 vertices; override per call or via BF_BUDGET) are
+    refused, never truncated."""
     if h.n < 1:
         raise ValueError("toughness needs at least one vertex")
     limit = _budget.resolve(budget, _budget.DEFAULT_VERTEX_BUDGET)
@@ -214,15 +228,20 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     bn = 0
     bd = 0
     best_mask = 0
+    # Fewest components with which a cutset of this size could still
+    # improve or tie the best ratio.
+    need = 2
     for size in range(n + 1):
-        if bd and size * bd >= bn * (n - size):
-            break
+        if bd:
+            if size * bd >= bn * (n - size):
+                break
+            need = max(2, -(-size * bd // bn))
         s_mask = (1 << size) - 1
         while s_mask < full:
-            c = _component_count(list(range(n)), masks, s_mask)
-            if c >= 2:
+            c = _component_count(list(range(n)), masks, s_mask, need)
+            if c >= need:
                 if bd == 0 or size * bd < bn * c:
-                    bn, bd, best_mask = size, c, s_mask
+                    bn, bd, best_mask, need = size, c, s_mask, c
                 elif (size == bn and c == bd
                       and bit_tuple(s_mask) < bit_tuple(best_mask)):
                     best_mask = s_mask

@@ -165,6 +165,16 @@ def test_factor_on_big_file(capsys, tmp_path):
     assert out == "2 2\n0 0 1\n1 0 1\n"
 
 
+def test_factor_refuses_big_with_isolated_x(capsys, tmp_path):
+    # The factor exists on the host, but a .bkf names hyperedges and the
+    # empty row 2 is none, so `verify` could not check one.
+    big = tmp_path / "g.big"
+    big.write_text("3 2\n0 1\n0 1\n\n")
+    code, out, err = run(capsys, "factor", str(big), "-k", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: not hypergraph-representable: X-vertex 2 is isolated\n"
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -224,6 +224,28 @@ def test_toughness_stops_at_survivor_bound(monkeypatch):
     assert calls == 57
 
 
+def test_toughness_count_stops_below_need(monkeypatch):
+    # Same cutsets as the full count, fewer union-find finds: a count
+    # stops once it falls below the components that could improve or
+    # tie the best ratio.  Full counts would make `full` finds.
+    calls = 0
+    find = hypergraph._find
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return find(*args)
+
+    monkeypatch.setattr(hypergraph, "_find", counting)
+    for n, value, want, full in ((6, Fraction(2), 256, 448),
+                                 (8, Fraction(3), 1536, 3456)):
+        calls = 0
+        less_one = Hypergraph(n, complete_graph(n).edges[1:])
+        assert toughness(less_one) == ToughnessValue(
+            value, tuple(range(2, n)))
+        assert calls == want < full
+
+
 def test_toughness_budget_refusal():
     with pytest.raises(BudgetExceededError):
         toughness(Hypergraph(5, [(0, 1)]), budget=4)

@@ -3,8 +3,10 @@
 Writes a fixed corpus of small inputs into a temporary directory, runs
 `toughness`, `y-toughness`, `criterion`, `barrier` (plain, `--biased`,
 `--check-structure`) and `factor` on each at k = 1..3, then `verify` on
-every `.bar` and `.bkf` certificate those runs print.  Each run prints
-one line
+every `.bar` and `.bkf` certificate those runs print.  The `tough*.hg`
+files, random hypergraphs with 11 to 14 vertices, go through `toughness`
+and `y-toughness` only: they cover the sizes at which the toughness scan
+prunes most.  Each run prints one line
 
     argv  exit  sha256(stdout)  sha256(stderr)
 
@@ -47,8 +49,8 @@ def big_text(ny: int, rows) -> str:
 
 
 def corpus() -> dict[str, str]:
-    """File name -> text: named families, then random files with at most
-    14 vertices in the incidence view."""
+    """File name -> text: named families, random files with at most 14
+    vertices in the incidence view, then the larger `tough*.hg` files."""
     files = {}
     for n in range(2, 7):
         files[f"path{n}.hg"] = hg_text(n, [(i, i + 1) for i in range(n - 1)])
@@ -81,6 +83,11 @@ def corpus() -> dict[str, str]:
         nx = rng.randint(1, min(5, 12 - ny))
         rows = [rng.sample(range(ny), rng.randint(0, ny)) for _ in range(nx)]
         files[f"rand{i:02d}.big"] = big_text(ny, rows)
+    for i in range(10):
+        n = rng.randint(11, 14)
+        edges = [rng.sample(range(n), rng.randint(2, 6))
+                 for _ in range(rng.randint(n, 3 * n))]
+        files[f"tough{i:02d}.hg"] = hg_text(n, edges)
     return files
 
 
@@ -111,6 +118,8 @@ def sweep() -> None:
         if name.endswith(".hg"):
             run(["toughness", name])
         run(["y-toughness", name])
+        if name.startswith("tough"):
+            continue
         for k in (1, 2, 3):
             code, out = run(["criterion", name, "-k", str(k)])
             if code == 1:
