@@ -11,7 +11,7 @@ maximum matching.  The two routes are independent and cross-checked.
 from .budget import BudgetExceededError
 from .factor_solver import (FactorSubgraph, GadgetGraph, Infeasible,
                             build_gadget, find_2k_factor, find_berge_k_factor,
-                            lift_to_berge, verify_2k_factor)
+                            lift_to_berge, sparse_y_vertex, verify_2k_factor)
 from .formats import (FormatError, load_barrier, load_bipartite,
                       load_certificate, load_hypergraph, parse_bar,
                       parse_big, parse_bkf, parse_hg, serialize_bar,
@@ -28,7 +28,8 @@ from .hypergraph import (BergeFactorCertificate, Hypergraph, StrongDeletion,
 from .incidence import (BipartiteGraph, YStrongDeletion, bipartite_components,
                         hypergraph_of, incidence_graph, strong_delete_y,
                         y_toughness)
-from .matching import GeneralGraph, Matching, is_perfect, max_matching
+from .matching import (GeneralGraph, Matching, is_perfect, max_matching,
+                       perfect_matching)
 from .parity_criterion import (Barrier, ClauseCheck, Component,
                                CriterionResult, DegreeSpec, FactorExistsError,
                                ScanResult, ScanStats, StructureReport,
@@ -42,7 +43,7 @@ __all__ = [
     "BudgetExceededError",
     "FactorSubgraph", "GadgetGraph", "Infeasible",
     "build_gadget", "find_2k_factor", "find_berge_k_factor",
-    "lift_to_berge", "verify_2k_factor",
+    "lift_to_berge", "sparse_y_vertex", "verify_2k_factor",
     "FormatError", "load_barrier", "load_bipartite", "load_certificate",
     "load_hypergraph", "parse_bar", "parse_big", "parse_bkf", "parse_hg",
     "serialize_bar", "serialize_big", "serialize_bkf", "serialize_hg",
@@ -57,6 +58,7 @@ __all__ = [
     "BipartiteGraph", "YStrongDeletion", "bipartite_components",
     "hypergraph_of", "incidence_graph", "strong_delete_y", "y_toughness",
     "GeneralGraph", "Matching", "is_perfect", "max_matching",
+    "perfect_matching",
     "Barrier", "ClauseCheck", "Component", "CriterionResult", "DegreeSpec",
     "FactorExistsError", "ScanResult", "ScanStats", "StructureReport",
     "check_barrier_structure", "classify_component", "decide_by_criterion",

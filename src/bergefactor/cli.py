@@ -14,7 +14,8 @@ from pathlib import Path
 from .budget import BudgetExceededError
 # find_2k_factor is not called here since `factor` reads a .big as a
 # hypergraph, but bench/tracing.py wraps it under this module's name.
-from .factor_solver import find_2k_factor, find_berge_k_factor  # noqa: F401
+from .factor_solver import (find_2k_factor, find_berge_k_factor,  # noqa: F401
+                            sparse_y_vertex)
 from .formats import (load_barrier, load_bipartite, load_certificate,
                       load_hypergraph, serialize_bar, serialize_big,
                       serialize_bkf)
@@ -109,8 +110,20 @@ def _cmd_factor(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    br = find_biased_barrier(incidence_graph(h), DegreeSpec(args.k),
-                             args.enum_budget)
+    g = incidence_graph(h)
+    spec = DegreeSpec(args.k)
+    try:
+        br = find_biased_barrier(g, spec, args.enum_budget)
+    except BudgetExceededError:
+        # Past the scan budget, a Y-vertex y of degree d < k still gives
+        # the barrier (A, B) = ({}, {y}): its delta is at most d - k.
+        sparse = sparse_y_vertex(g, spec)
+        if sparse is None:
+            raise
+        br = delta(g, (), (g.x_count + sparse.y,), spec)
+        if br.delta >= 0:
+            raise RuntimeError(f"Y-vertex {sparse.y} of degree "
+                               f"{sparse.degree} < k gave delta {br.delta}")
     print(f"no Berge-{args.k}-factor: barrier delta={br.delta}")
     sys.stdout.write(serialize_bar(br))
     return 1

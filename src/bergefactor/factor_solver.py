@@ -15,7 +15,7 @@ degree 0.
 
 The gadget has 2|E| + 2|X| + k|Y| vertices and (k+3)|E| + |X| edges for
 |E| incidences.  A Y-vertex of host degree < k makes the instance
-infeasible outright.
+infeasible outright (`sparse_y_vertex`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from typing import Callable
 
 from .hypergraph import BergeFactorCertificate, Hypergraph, Verdict, verify_berge_factor
 from .incidence import BipartiteGraph, incidence_graph
-from .matching import GeneralGraph, max_matching
+# max_matching is not called here since a factor needs a perfect
+# matching, but bench/tracing.py wraps it under this module's name.
+from .matching import GeneralGraph, max_matching, perfect_matching  # noqa: F401
 from .parity_criterion import DegreeSpec
 
 @dataclass(frozen=True)
@@ -61,6 +63,15 @@ class FactorSubgraph:
         return cls(k, tuple(sorted(tuple(e) for e in edges)))
 
 
+def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> Infeasible | None:
+    """The first Y-vertex (by index) whose host degree is below k, or
+    None when there is none."""
+    for j, xs in enumerate(g.y_neighbors):
+        if len(xs) < spec.k:
+            return Infeasible(j, len(xs), spec.k)
+    return None
+
+
 def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasible:
     """Expand the host graph into the split-incidence gadget, or report
     the first Y-vertex (by index) that is infeasibly sparse.  Vertex ids
@@ -69,14 +80,15 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasibl
     then its k copies.  Every id is computed up front or on the fly, so
     one pass over the host vertices emits the edges already in ascending
     (smaller, larger) order."""
+    sparse = sparse_y_vertex(g, spec)
+    if sparse is not None:
+        return sparse
     nx = g.x_count
     k = spec.k
     # First free Y-end of each Y-block, advanced as X-vertices claim them.
     y_next: list[int] = []
     v = sum(len(ys) for ys in g.neighbors) + 2 * nx
-    for j, xs in enumerate(g.y_neighbors):
-        if len(xs) < k:
-            return Infeasible(j, len(xs), k)
+    for xs in g.y_neighbors:
         y_next.append(v)
         v += len(xs) + k
     owner: list[int] = []
@@ -104,9 +116,10 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    trace: Callable[[str], None] | None = None
                    ) -> FactorSubgraph | None:
     """Search for a (2,k)-factor of the host graph; None when there is
-    none.  A factor read off the matching is checked by
-    `verify_2k_factor` before it is returned.  `trace` receives
-    progress lines."""
+    none.  The factor is read off a perfect matching of the gadget, so
+    the matcher stops at its first failed search: that already shows
+    there is no factor.  A factor is checked by `verify_2k_factor`
+    before it is returned.  `trace` receives progress lines."""
     gadget = build_gadget(g, spec)
     if isinstance(gadget, Infeasible):
         if trace:
@@ -117,14 +130,16 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     if trace:
         trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
               f"({len(gadget.inter_edges)} incidence edges)")
-    matching = max_matching(gg)
+    matching = perfect_matching(gg)
+    if matching is None:
+        if trace:
+            trace("matching: stopped at an exposed vertex with no "
+                  f"augmenting path, perfect needs {gg.n // 2}")
+            trace("no perfect matching: factor does not exist")
+        return None
     if trace:
         trace(f"matching: {len(matching)} edges, perfect needs {gg.n // 2}"
               f" (n {'even' if gg.n % 2 == 0 else 'odd'})")
-    if 2 * len(matching) != gg.n:
-        if trace:
-            trace("no perfect matching: factor does not exist")
-        return None
     # An incidence is selected exactly when its incidence edge is not
     # matched; ids in `inter_edges` are already in (smaller, larger) order.
     matched = set(matching.edges)

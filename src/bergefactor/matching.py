@@ -1,23 +1,32 @@
 """Maximum matching in general graphs via blossom contraction.
 
 Unweighted Edmonds matching: a deterministic greedy seed over the
-canonical edge list, then one BFS augmentation phase per exposed vertex,
-contracting odd cycles by rebasing them onto their stem (the `base`
-array).  A contraction relabels only the vertices of the blossoms it
-merges, found through a member list kept per blossom base, and queues
-the newly outer ones in ascending id order.  A phase costs O(E) for the
-scan plus, per contraction, the blossom's size and the two tree paths
-walked to its base, so O(V * E) in the worst case; the `p`, `base` and
-`used` arrays are allocated once per matching and each phase resets
-only the entries it touched.  Scan order is fixed by the sorted
-adjacency lists, so equal inputs always produce equal matchings.
+canonical edge list, then one BFS search per vertex still exposed when
+its turn comes, in id order, contracting odd cycles by rebasing them
+onto their stem (the `base` array).  A contraction relabels only the
+vertices of the blossoms it merges, found through a member list kept
+per blossom base, and queues the newly outer ones in ascending id
+order.  A search costs O(E) for the scan plus, per contraction, the
+blossom's size and the two tree paths walked to its base, so O(V * E)
+in the worst case; the `p`, `base` and `used` arrays are allocated once
+per matching and each search resets only the entries it touched.  Scan
+order is fixed by the sorted adjacency lists, so equal inputs always
+produce equal matchings.
+
+A failed search settles that the graph has no perfect matching
+(Berge): if a perfect matching M* existed, the component of the
+symmetric difference of M and M* at the still-exposed root would be an
+augmenting path from it.  `perfect_matching` stops at that first
+failure.  `max_matching` runs every search; its result is maximum
+because a root with no augmenting path gains none after later
+augmentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class GeneralGraph:
@@ -184,11 +193,13 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
     return False
 
 
-def max_matching(g: GeneralGraph) -> Matching:
-    """Maximum-cardinality matching, deterministic for a fixed input."""
+def _searches(g: GeneralGraph, match: list[int]) -> Iterator[bool]:
+    """Fill `match`, all -1 on entry, with the greedy seed over the
+    canonical edge list, then run one search per exposed root in id
+    order, yielding whether it augmented.  A caller that stops reading
+    runs no further search."""
     n = g.n
     adj = g.adjacency
-    match = [-1] * n
     for u, v in g.edges:
         if match[u] == -1 and match[v] == -1:
             match[u] = v
@@ -198,6 +209,25 @@ def max_matching(g: GeneralGraph) -> Matching:
     used = [False] * n
     for v in range(n):
         if match[v] == -1:
-            _augment_from(v, adj, match, p, base, used)
-    pairs = [(v, match[v]) for v in range(n) if v < match[v]]
-    return Matching.make(pairs)
+            yield _augment_from(v, adj, match, p, base, used)
+
+
+def _matching_of(match: list[int]) -> Matching:
+    return Matching.make((v, w) for v, w in enumerate(match) if v < w)
+
+
+def max_matching(g: GeneralGraph) -> Matching:
+    """Maximum-cardinality matching, deterministic for a fixed input."""
+    match = [-1] * g.n
+    for _ in _searches(g, match):
+        pass
+    return _matching_of(match)
+
+
+def perfect_matching(g: GeneralGraph) -> Matching | None:
+    """`max_matching(g)` when it is perfect, else None.  The searches
+    stop at the first exposed root with no augmenting path (Berge), so a
+    graph without a perfect matching costs one failed search, not one
+    per exposed root."""
+    match = [-1] * g.n
+    return _matching_of(match) if all(_searches(g, match)) else None

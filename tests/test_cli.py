@@ -151,6 +151,21 @@ def test_factor_none_prints_barrier(capsys, star_hg):
     assert lines[1] == "-2 1 0"
 
 
+def test_factor_past_budget_prints_sparse_vertex_barrier(capsys, tmp_path):
+    # 61 host vertices, far over the scan budget; leaf 1 has degree 1 < 2.
+    hg = tmp_path / "star30.hg"
+    hg.write_text(serialize_hg(star(30)))
+    code, out, err = run(capsys, "factor", str(hg), "-k", "2")
+    assert (code, err) == (1, "")
+    first, bar = out.split("\n", 1)
+    assert first == "no Berge-2-factor: barrier delta=-2"
+    assert bar.startswith("-2 0 1\n\n31\n")
+    f = tmp_path / "star30.bar"
+    f.write_text(bar)
+    code, out, _ = run(capsys, "verify", str(hg), str(f), "-k", "2")
+    assert (code, out) == (0, "accept: barrier delta=-2\n")
+
+
 def test_factor_trace(capsys, c5_hg):
     code, out, _ = run(capsys, "factor", c5_hg, "-k", "2", "--trace")
     assert code == 0

@@ -6,7 +6,10 @@ from itertools import combinations
 import pytest
 
 from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Infeasible,
-                         Matching, build_gadget, is_perfect, max_matching)
+                         Matching, build_gadget, find_2k_factor,
+                         incidence_graph, is_perfect, matching, max_matching,
+                         perfect_matching)
+from bergefactor.families import complete_bipartite, complete_graph, star
 
 import oracles
 
@@ -78,6 +81,7 @@ def test_exhaustive_up_to_five_vertices():
             used = [v for e in m.edges for v in e]
             assert len(used) == len(set(used))
             assert all(e in g.edges for e in m.edges)
+            assert perfect_matching(g) == (m if 2 * len(m) == n else None)
 
 
 def test_random_up_to_ten_vertices():
@@ -88,7 +92,9 @@ def test_random_up_to_ten_vertices():
         m = rng.randint(0, len(pairs))
         edges = rng.sample(pairs, m)
         g = GeneralGraph(n, edges)
-        assert len(max_matching(g)) == oracles.max_matching_size(n, edges)
+        m = max_matching(g)
+        assert len(m) == oracles.max_matching_size(n, edges)
+        assert perfect_matching(g) == (m if 2 * len(m) == n else None)
 
 
 def test_same_matching_as_reference_random():
@@ -116,4 +122,25 @@ def test_same_matching_as_reference_on_gadgets():
             continue
         tried += 1
         g = gadget.graph
-        assert max_matching(g).edges == oracles.max_matching_reference(g)
+        m = max_matching(g)
+        assert m.edges == oracles.max_matching_reference(g)
+        assert perfect_matching(g) == (m if 2 * len(m) == g.n else None)
+
+
+@pytest.mark.parametrize("h, k, want", [
+    (star(4), 1, [False]),  # max_matching runs 3 searches, all failing
+    (complete_bipartite(2, 4), 2, [False]),  # 4, all failing
+    (complete_graph(4), 1, [True] * 4),  # a factor: every search augments
+])
+def test_factor_search_stops_at_first_failed_root(monkeypatch, h, k, want):
+    calls = []
+    search = matching._augment_from
+
+    def recorded(*args):
+        calls.append(search(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(matching, "_augment_from", recorded)
+    found = find_2k_factor(incidence_graph(h), DegreeSpec(k))
+    assert calls == want
+    assert (found is None) == (False in calls)

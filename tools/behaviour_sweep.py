@@ -71,6 +71,10 @@ def corpus() -> dict[str, str]:
                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     files["petersen.hg"] = hg_text(10, petersen)
     files["pairs_over.big"] = big_text(16, [range(16), range(16)])
+    # Over every scan budget, with Y-vertices (the leaves, the ends) of
+    # degree 1, so `factor` at k >= 2 answers without the scan.
+    files["star30.hg"] = hg_text(31, [(0, i) for i in range(1, 31)])
+    files["path30.hg"] = hg_text(30, [(i, i + 1) for i in range(29)])
     rng = random.Random(20261018)
     for i in range(30):
         n = rng.randint(2, 7)
