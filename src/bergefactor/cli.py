@@ -21,29 +21,22 @@ from .formats import (load_barrier, load_bipartite, load_certificate,
                       serialize_bkf)
 from .harness import ExhaustiveMode, RandomMode, tightness_search, verify_theorem
 from .hypergraph import toughness, verify_berge_factor
-from .incidence import hypergraph_of, incidence_graph, y_toughness
-from .parity_criterion import (DegreeSpec, FactorExistsError,
-                               check_barrier_structure, decide_by_criterion,
-                               delta, find_biased_barrier)
+from .incidence import incidence_graph
+from .parity_criterion import (DegreeSpec, check_barrier_structure,
+                               decide_by_criterion, deficiency_scan, delta,
+                               find_biased_barrier)
 
 
 def _set_fmt(vs) -> str:
     return "{" + ",".join(map(str, vs)) + "}"
 
 
-def _print_toughness(tv) -> int:
+def _cmd_toughness(args) -> int:
+    tv = toughness(load_hypergraph(args.file), args.enum_budget)
     print(tv)
     if not tv.infinite:
         print(f"witness {_set_fmt(tv.witness)}")
     return 0
-
-
-def _cmd_toughness(args) -> int:
-    return _print_toughness(toughness(load_hypergraph(args.file), args.enum_budget))
-
-
-def _cmd_y_toughness(args) -> int:
-    return _print_toughness(y_toughness(load_bipartite(args.file), args.enum_budget))
 
 
 def _cmd_incidence(args) -> int:
@@ -66,15 +59,9 @@ def _cmd_criterion(args) -> int:
 def _cmd_barrier(args) -> int:
     g = load_bipartite(args.file)
     spec = DegreeSpec(args.k)
-    biased = args.biased or args.check_structure
-    try:
-        if biased:
-            br = find_biased_barrier(g, spec, args.enum_budget)
-        else:
-            br = decide_by_criterion(g, spec, args.enum_budget).barrier
-            if br is None:
-                raise FactorExistsError
-    except FactorExistsError:
+    scan = deficiency_scan(g, spec, args.enum_budget)
+    br = scan.biased if args.biased or args.check_structure else scan.first
+    if br is None or br.delta >= 0:
         print(f"no barrier: a (2,{args.k})-factor exists")
         return 1
     # Checked before the certificate is written, so an error exit (odd
@@ -88,19 +75,13 @@ def _cmd_barrier(args) -> int:
                      ("iii", report.iii), ("iv", report.iv)):
         msg = "pass" if cc.passed else f"fail ({cc.witness})"
         print(f"clause {name}: {msg}")
-    if report.iv_truncated:
-        print("clause iv truncated to singleton and pair subsets")
     print(f"structure: {'pass' if report.ok else 'fail'}")
     return 0 if report.ok else 1
 
 
 def _cmd_factor(args) -> int:
     trace = print if args.trace else None
-    path = Path(args.file)
-    # A .big names the hypergraph it represents; an isolated X-vertex
-    # represents none, and its factor would name no hyperedge.
-    h = (load_hypergraph(path) if path.suffix == ".hg"
-         else hypergraph_of(load_bipartite(path)))
+    h = load_hypergraph(args.file)
     cert = find_berge_k_factor(h, args.k, trace=trace)
     if cert is not None:
         text = serialize_bkf(cert)
@@ -132,8 +113,8 @@ def _cmd_factor(args) -> int:
 def _cmd_verify(args) -> int:
     cert_path = Path(args.cert)
     if cert_path.suffix == ".bkf":
-        h = hypergraph_of(load_bipartite(args.file))
-        verdict = verify_berge_factor(h, load_certificate(cert_path))
+        verdict = verify_berge_factor(load_hypergraph(args.file),
+                                      load_certificate(cert_path))
         if verdict:
             print("accept")
             return 0
@@ -241,11 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--enum-budget", type=int, default=None, metavar="N",
                         help="override the enumeration size budget")
 
-    sp = cmd("toughness", _cmd_toughness, "exact toughness of a .hg hypergraph")
+    sp = cmd("toughness", _cmd_toughness,
+             "exact toughness of the hypergraph of a .hg or .big file")
     sp.add_argument("file")
     budget_opt(sp)
 
-    sp = cmd("y-toughness", _cmd_y_toughness,
+    sp = cmd("y-toughness", _cmd_toughness,
              "Y-side toughness of a .big bipartite graph (or .hg via incidence)")
     sp.add_argument("file")
     budget_opt(sp)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .hypergraph import BergeFactorCertificate, Hypergraph
-from .incidence import BipartiteGraph, incidence_graph
+from .incidence import BipartiteGraph, hypergraph_of, incidence_graph
 from .parity_criterion import Barrier, Component
 
 
@@ -182,7 +182,15 @@ def serialize_bar(br: Barrier) -> str:
 
 
 def load_hypergraph(path: str | Path) -> Hypergraph:
-    return parse_hg(Path(path).read_text())
+    """Read a hypergraph; a .big file gives the hypergraph it represents
+    (`hypergraph_of`), and one with an isolated X-vertex represents
+    none."""
+    p = Path(path)
+    if p.suffix == ".hg":
+        return parse_hg(p.read_text())
+    if p.suffix == ".big":
+        return hypergraph_of(parse_big(p.read_text()))
+    raise FormatError(f"expected a .hg or .big file, got {p.name!r}")
 
 
 def load_bipartite(path: str | Path) -> BipartiteGraph:

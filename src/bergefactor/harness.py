@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator
 
 from .budget import BudgetExceededError
-from .factor_solver import find_2k_factor, lift_to_berge
+from .factor_solver import find_2k_factor, find_berge_k_factor
 from .hypergraph import Hypergraph, ToughnessValue, toughness
 from .incidence import BipartiteGraph, incidence_graph
 from .parity_criterion import Barrier, DegreeSpec, find_biased_barrier
@@ -210,13 +210,11 @@ def verify_theorem(n_range: tuple[int, int], k: int,
         if not tau.satisfies(k):
             continue
         eligible += 1
-        g = incidence_graph(h)
-        factor = find_2k_factor(g, spec)
-        if factor is not None:
-            lift_to_berge(h, factor)
+        if find_berge_k_factor(h, k) is not None:
             found += 1
         else:
-            violations.append(Violation(h, tau, k, find_biased_barrier(g, spec)))
+            violations.append(Violation(
+                h, tau, k, find_biased_barrier(incidence_graph(h), spec)))
     return TheoremReport(k, desc, total, eligible, found, tuple(violations),
                          time.perf_counter() - start, seed)
 

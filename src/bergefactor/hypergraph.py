@@ -212,11 +212,11 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     merge, so a stopped cutset could neither improve nor tie, and no
     value or witness changes; at s = bn, need is bd, so every tie still
     reaches the witness comparison.  Instances above the enumeration
-    budget (default 20 vertices; override per call or via BF_BUDGET) are
-    refused, never truncated."""
+    budget (the `budget` argument, default 20 vertices) are refused,
+    never truncated."""
     if h.n < 1:
         raise ValueError("toughness needs at least one vertex")
-    limit = _budget.resolve(budget, _budget.DEFAULT_VERTEX_BUDGET)
+    limit = _budget.DEFAULT_VERTEX_BUDGET if budget is None else budget
     _budget.check("toughness", h.n, limit)
     if is_complete(h):
         return ToughnessValue(None, None)

@@ -122,7 +122,6 @@ class StructureReport:
     ii: ClauseCheck
     iii: ClauseCheck
     iv: ClauseCheck
-    iv_truncated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -228,7 +227,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     RuntimeError."""
     nx, ny = g.x_count, g.y_count
     n_total = nx + ny
-    limit = _budget.resolve(budget, _budget.DEFAULT_CRITERION_BUDGET)
+    limit = _budget.DEFAULT_CRITERION_BUDGET if budget is None else budget
     _budget.check("criterion scan", n_total, limit)
     _budget.check_pairs("criterion scan", nx, ny, limit)
     k = spec.k
@@ -412,9 +411,9 @@ def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
                             spec: DegreeSpec) -> StructureReport:
     """Check the four structural clauses a biased barrier must satisfy.
     Requires k|Y| even (clause (iv) fails otherwise in general); odd
-    products are rejected.  Clause (iv) is exhaustive up to
-    |A-and-X| <= 20 and falls back to singleton and pair subsets beyond,
-    reporting the truncation."""
+    products are rejected.  Clause (iv) walks every nonempty Z of the
+    eligible vertices (those of A-and-X with no B-neighbor) up to the
+    first failure, and refuses more than 20 of them (the vertex budget)."""
     if (spec.k * g.y_count) % 2 != 0:
         raise ValueError("structure checks require k * |Y| to be even")
     nx = g.x_count
@@ -439,18 +438,12 @@ def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
 
     a_x = [v for v in biased.a if v < nx]
     eligible = [x for x in a_x if not (adjg[x] & b_mask)]
+    _budget.check("structure clause iv", len(eligible),
+                  _budget.DEFAULT_VERTEX_BUDGET)
     odd_masks = [mask_of(c.vertices) for c in biased.components if c.odd]
-    truncated = len(eligible) > 20
-    if truncated:
-        subsets: list[tuple[int, ...]] = [(x,) for x in eligible]
-        subsets += [(u, v) for i, u in enumerate(eligible)
-                    for v in eligible[i + 1:]]
-    else:
-        subsets = []
-        for m in range(1, 1 << len(eligible)):
-            subsets.append(tuple(eligible[j] for j in bit_tuple(m)))
     clause_iv = ClauseCheck(True)
-    for zs in subsets:
+    for m in range(1, 1 << len(eligible)):
+        zs = tuple(eligible[j] for j in bit_tuple(m))
         nz = 0
         for x in zs:
             nz |= adjg[x]
@@ -458,4 +451,4 @@ def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
         if hz < 2 * len(zs):
             clause_iv = ClauseCheck(False, f"Z = {zs} has h(Z) = {hz} < {2 * len(zs)}")
             break
-    return StructureReport(clause_i, clause_ii, clause_iii, clause_iv, truncated)
+    return StructureReport(clause_i, clause_ii, clause_iii, clause_iv)

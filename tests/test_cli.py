@@ -60,6 +60,20 @@ def test_y_toughness_accepts_both_formats(capsys, tmp_path, star_hg):
     assert (code2, out2) == (code, out)
 
 
+def test_toughness_reads_big_and_rejects_other_suffixes(capsys, tmp_path):
+    # A .big is read as the hypergraph it represents, as y-toughness does.
+    big = tmp_path / "p.big"
+    big.write_text(serialize_big(incidence_graph(path(4))))
+    code, out, _ = run(capsys, "toughness", str(big))
+    assert (code, out) == (0, "1/2\nwitness {1}\n")
+    assert run(capsys, "y-toughness", str(big))[:2] == (code, out)
+    txt = tmp_path / "p.txt"
+    txt.write_text(serialize_hg(path(4)))
+    code, out, err = run(capsys, "toughness", str(txt))
+    assert (code, out) == (2, "")
+    assert err == "error: expected a .hg or .big file, got 'p.txt'\n"
+
+
 def test_incidence_output(capsys, star_hg):
     code, out, _ = run(capsys, "incidence", star_hg)
     assert code == 0

@@ -251,11 +251,9 @@ def test_toughness_budget_refusal():
         toughness(Hypergraph(5, [(0, 1)]), budget=4)
 
 
-def test_toughness_budget_env_override(monkeypatch):
+def test_toughness_budget_ignores_environment(monkeypatch):
+    # A budget comes from the call or the default, never the environment.
     monkeypatch.setenv("BF_BUDGET", "3")
-    with pytest.raises(BudgetExceededError):
-        toughness(Hypergraph(4, [(0, 1)]))
-    monkeypatch.setenv("BF_BUDGET", "4")
     assert toughness(Hypergraph(4, [(0, 1)])).value == 0
 
 

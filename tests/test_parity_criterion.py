@@ -354,7 +354,6 @@ def test_structure_clauses_on_star_barrier():
     rep = check_barrier_structure(g, br, spec)
     assert rep.i.passed and rep.ii.passed and rep.iii.passed and rep.iv.passed
     assert rep.ok
-    assert not rep.iv_truncated
 
 
 def test_structure_requires_even_product():
@@ -397,3 +396,24 @@ def test_structure_reports_failures_on_unbiased_pairs():
     assert not rep.i.passed
     assert not rep.ok
     assert rep.i.witness
+
+
+def test_structure_clause_iv_is_exhaustive_up_to_budget():
+    """Clause (iv) walks every Z up to 20 eligible vertices and refuses
+    past that.  With X-vertex x joined to Y-vertices 2x and 2x + 1 and
+    (A, B) = (X, {}), every component of G - A is one Y-vertex, even at
+    k = 2, so the walk fails at its first Z."""
+    spec = DegreeSpec(2)
+
+    def host(nx):
+        g = BipartiteGraph(nx, 2 * nx, [(2 * x, 2 * x + 1) for x in range(nx)])
+        return g, delta(g, range(nx), (), spec)
+
+    g, rec = host(20)
+    rep = check_barrier_structure(g, rec, spec)
+    assert rep.i.passed and rep.ii.passed and rep.iii.passed
+    assert (rep.iv.passed, rep.iv.witness) == (
+        False, "Z = (0,) has h(Z) = 0 < 2")
+    g, rec = host(21)
+    with pytest.raises(BudgetExceededError, match="structure clause iv"):
+        check_barrier_structure(g, rec, spec)

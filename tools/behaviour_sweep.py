@@ -119,8 +119,7 @@ def sweep() -> None:
     for name, text in corpus().items():
         Path(name).write_text(text)
         stem = name.replace(".", "_")
-        if name.endswith(".hg"):
-            run(["toughness", name])
+        run(["toughness", name])
         run(["y-toughness", name])
         if name.startswith("tough"):
             continue
@@ -150,8 +149,6 @@ def sweep() -> None:
 
 
 def main() -> None:
-    # The default budgets are part of the behaviour being compared.
-    os.environ.pop("BF_BUDGET", None)
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
