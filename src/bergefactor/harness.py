@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator
 
-from .budget import BudgetExceededError
 from .factor_solver import find_2k_factor, find_berge_k_factor
 from .hypergraph import Hypergraph, ToughnessValue, toughness
 from .incidence import BipartiteGraph, incidence_graph
@@ -166,7 +165,9 @@ def verify_theorem(n_range: tuple[int, int], k: int,
     """Check the factor theorem over a census or a seeded random batch:
     every instance with tau >= k, k*n even and n >= k+1 must admit a
     Berge-k-factor.  Certificates are re-verified; a missing factor is
-    recorded with its biased barrier."""
+    recorded with its biased barrier.  The exhaustive mode takes n <= 5
+    and the random mode n <= 10; a larger range is a ValueError, as no
+    budget covers it."""
     n_lo, n_hi = n_range
     if n_lo < 1 or n_lo > n_hi:
         raise ValueError(f"bad n range [{n_lo}, {n_hi}]")
@@ -175,7 +176,7 @@ def verify_theorem(n_range: tuple[int, int], k: int,
     seed: int | None
     if isinstance(mode, ExhaustiveMode):
         if n_hi > 5:
-            raise BudgetExceededError(
+            raise ValueError(
                 f"exhaustive theorem verification supports n <= 5, got {n_hi}")
         instances: Iterator[Hypergraph] = (
             h for n in range(n_lo, n_hi + 1)
@@ -184,7 +185,7 @@ def verify_theorem(n_range: tuple[int, int], k: int,
         desc = f"exhaustive n<={n_hi} m<={mode.max_edges}"
     else:
         if n_hi > 10:
-            raise BudgetExceededError(
+            raise ValueError(
                 f"random theorem verification supports n <= 10, got {n_hi}")
         if n_lo < 2:
             raise ValueError("random mode needs n >= 2")

@@ -133,11 +133,20 @@ def components(h: Hypergraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest
     member.  Vertices are connected when a chain of pairwise
     intersecting edges joins them; edgeless vertices are singletons."""
-    parent = list(range(h.n))
-    _component_count(parent, h.edge_masks, 0, 0)
+    return _component_groups(h.n, h.edge_masks, 0)
+
+
+def _component_groups(n: int, edge_masks: Sequence[int],
+                      s_mask: int) -> list[tuple[int, ...]]:
+    """Components of H - S on the vertices 0..n-1 given by their edge
+    masks, as `components` orders them; the vertices of S are left
+    out, and the edges meeting S with them."""
+    parent = list(range(n))
+    _component_count(parent, edge_masks, s_mask, 0)
     groups: dict[int, list[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(_find(parent, v), []).append(v)
+    for v in range(n):
+        if not s_mask >> v & 1:
+            groups.setdefault(_find(parent, v), []).append(v)
     return [tuple(g) for g in groups.values()]
 
 

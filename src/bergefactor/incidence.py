@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .hypergraph import Hypergraph, ToughnessValue, components, toughness
+from .hypergraph import (Hypergraph, ToughnessValue, _component_groups,
+                         toughness)
 
 
 class BipartiteGraph:
@@ -127,11 +128,11 @@ def bipartite_components(g: BipartiteGraph
     2-uniform hypergraph on global ids with one edge (x, nx + y) per
     incidence."""
     nx = g.x_count
-    view = Hypergraph(nx + g.y_count, [(x, nx + y) for x, nbrs
-                                       in enumerate(g.neighbors) for y in nbrs])
+    edge_masks = [1 << x | 1 << (nx + y)
+                  for x, nbrs in enumerate(g.neighbors) for y in nbrs]
     return [(tuple(v for v in comp if v < nx),
              tuple(v - nx for v in comp if v >= nx))
-            for comp in components(view)]
+            for comp in _component_groups(nx + g.y_count, edge_masks, 0)]
 
 
 def y_toughness(g: BipartiteGraph, budget: int | None = None) -> ToughnessValue:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import budget as _budget
-from ._bits import bit_tuple, mask_of
-from .hypergraph import Hypergraph, components
+from ._bits import bit_tuple, bits, mask_of
+from .hypergraph import _component_groups
 from .incidence import BipartiteGraph
 
 
@@ -79,11 +79,15 @@ class Barrier:
 class ScanStats:
     """Bookkeeping from an enumeration: pairs evaluated, and how many of
     the evaluated deltas were odd (must be zero whenever k|Y| is even,
-    which `parity_checked` records)."""
+    which `parity_checked` records).  Both count every pair the scan
+    covers, 2^|X| * 3^|Y| with B inside Y, including the pairs of the
+    U-sets whose Gray-code walk the scan's lower bound skips; `walked`
+    counts only the pairs that walk actually scored."""
 
     evaluated: int
     odd_deltas: int
     parity_checked: bool
+    walked: int
 
 
 @dataclass(frozen=True)
@@ -147,9 +151,10 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
     """Evaluate the deficiency of the disjoint pair (A, B), returning the
     populated record (delta value and component classification).  This
     is the one evaluator: the scan re-checks every pair it returns
-    through it.  The components come from the union-find kernel of
-    `hypergraph.components`, not from the scan's per-U fill, so the
-    check does not share the walk's component algorithm."""
+    through it.  The components come from the union-find kernel behind
+    `hypergraph.components`, not from the scan's carried per-U
+    components, so the check does not share the walk's component
+    algorithm."""
     nx = g.x_count
     n_total = nx + g.y_count
     a_mask = mask_of(a)
@@ -170,16 +175,12 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
         lb = bb & -bb
         bb ^= lb
         s += (adjg[lb.bit_length() - 1] & ~a_mask).bit_count()
-    # G - (A + B) as a 2-uniform hypergraph on the global ids; the
-    # vertices of A + B come back as singletons and are skipped.
-    rest = Hypergraph(n_total, [(x, nx + y)
-                                for x, nbrs in enumerate(g.neighbors)
-                                if not cut >> x & 1
-                                for y in nbrs if not cut >> (nx + y) & 1])
+    # G - (A + B): one 2-edge mask per incidence on the global ids, with
+    # A + B deleted by the kernel.
+    edge_masks = [1 << x | 1 << (nx + y)
+                  for x, nbrs in enumerate(g.neighbors) for y in nbrs]
     comps: list[Component] = []
-    for comp in components(rest):
-        if cut >> comp[0] & 1:
-            continue
+    for comp in _component_groups(n_total, edge_masks, cut):
         eb = sum((adjg[v] & b_mask).bit_count() for v in comp)
         # X-vertices have even upper target 2, so only Y counts here.
         odd = bool((k * sum(v >= nx for v in comp) + eb) & 1)
@@ -213,14 +214,32 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     is 0, and it joins at most as many components as it has edges
     outside A), so the minimum and every biased-optimal pair live in
     this family.  The same move lowers that vertex's digit from 2 to 0,
-    so the first barrier lives there too.  The scan walks the untouched
-    set U = V - (A + B); components of G - (A + B) depend only on U, so
-    their parity data is computed once per U and each B inside V - U is
-    then scored in O(1) per Gray-code step.  A pair's base-3 code is the
-    code of C = V - U, where every vertex has digit at least 1, plus
-    3^y for each y in B, so the first barrier is tracked in the same
-    walk.  Hosts above the vertex budget b, or with more than
-    2^ceil(b/2) * 3^floor(b/2) pairs, are refused before the walk.
+    so the first barrier lives there too.
+
+    The scan walks the untouched set U = V - (A + B) depth first, adding
+    one vertex above U's highest at a time, so each U is reached once
+    and its state is updated from its parent's, not rebuilt: the
+    components of G[U], each with its parity row (its parity at B empty,
+    and the B-candidates y in C & Y of C = V - U that send it an odd
+    number of edges; rows merge by XOR), the code of C and the constant
+    part of delta.  Components of G - (A + B) depend only on U, so each
+    B inside C & Y is then scored in O(1) per Gray-code step.  A pair's
+    base-3 code is the code of C, where every vertex has digit at least
+    1, plus 3^y for each y in B, so the first barrier is tracked in the
+    same walk.
+
+    Before that walk, a lower bound on every delta of the U (the
+    constant part, less every component some pair of the U can make
+    odd, plus every negative B-candidate weight) is compared with the
+    best pair so far: a U whose bound is above the best delta (ties are
+    always walked), and that can hold no earlier barrier (bound >= 0, or
+    C's code, the least of the U, above the first barrier's), is not
+    walked.  Its pairs are still counted: all 2^|C & Y| in `evaluated`,
+    and the odd ones in `odd_deltas` by linearity over GF(2), from the
+    same per-U data the walk reads, so the counts equal the walk's.
+    Hosts above the vertex budget b, or with more than
+    2^ceil(b/2) * 3^floor(b/2) pairs, are refused before any scan state
+    is built.
 
     Both pairs are returned as `Barrier` records built by `delta`; a
     re-evaluated delta that differs from the walk's raises
@@ -234,10 +253,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     adjg = _global_adjacency(g)
     all_mask = (1 << n_total) - 1
     y_all = ((1 << ny) - 1) << nx
-    x_all = (1 << nx) - 1
     parity_checked = (k * ny) % 2 == 0
     evaluated = 0
     odd_deltas = 0
+    walked = 0
     best_d = best_nb = best_na = 0  # seeded below by the first pair
     best_state: tuple[int, int, list[int]] | None = None  # (c_mask, bi, ys)
     best_lex: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -252,100 +271,158 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         b_mask = mask_of(b_ids)
         return b_ids, bit_tuple(c_mask ^ b_mask)
 
-    for u_mask in range(1 << n_total):
-        c_mask = all_mask ^ u_mask
-        # The binary digits of C read in base 3 give sum of 3^v over C.
-        c_code = int(f"{c_mask:b}", 3)
-        cy_mask = c_mask & y_all
-        ys: list[int] = []
-        t = cy_mask
-        while t:
-            lb = t & -t
-            t ^= lb
-            ys.append(lb.bit_length() - 1)
-        tcount = len(ys)
-        # Degree of y in G - A is |N(y) & U| for every split of C, since
-        # B holds no X-vertices; fold the -2k B-membership cost in now.
-        wts = [(adjg[y] & u_mask).bit_count() - 2 * k for y in ys]
-        pows = [pow3[y] for y in ys]
-        # Components of G[U]: parity seed, plus for each candidate
-        # B-vertex a flag saying whether it sends an odd number of edges
-        # into the component (only the parity of e(D, B) matters).
-        # odd0 holds the components odd at B = empty; affect[j] is the
-        # set of components whose parity flips when ys[j] toggles.
-        odd0 = 0
-        affect = [0] * tcount
-        ncomp = 0
-        rem = u_mask
-        while rem:
-            low = rem & -rem
-            comp = low
-            frontier = low
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    lb = f & -f
-                    f ^= lb
-                    nxt |= adjg[lb.bit_length() - 1]
-                frontier = nxt & u_mask & ~comp
-                comp |= frontier
-            rem &= ~comp
-            if (k * (comp & y_all).bit_count()) & 1:
-                odd0 |= 1 << ncomp
-            for j in range(tcount):
-                if (adjg[ys[j]] & comp).bit_count() & 1:
-                    affect[j] |= 1 << ncomp
-            ncomp += 1
-        const = 2 * (c_mask & x_all).bit_count() + k * tcount
-        c_size = c_mask.bit_count()
+    # One stack entry per U: (u_mask, comps, reach, neg, xpar, dodd,
+    # c_code, const).  comps lists G[U]'s components as (mask, row)
+    # pairs, where row has bit y for each B-candidate y in C & Y with
+    # |N(y) & D| odd, and bit `flag` when D is odd at B = empty (its
+    # k|D & Y| is odd).  A pair's delta is const + (sum over B of
+    # |N(y) & U| - 2k: its degree in G - A, since B holds no X-vertices,
+    # with the -2k B-membership cost folded in) - (odd components), with
+    # const = 2|C & X| + k|C & Y| and D odd when its flag bit and its
+    # bits on B have odd parity.  reach counts the components with a
+    # nonzero row (the ones some pair of the U makes odd), neg is the sum
+    # of the negative weights, xpar the XOR of all rows, and dodd has bit
+    # y when |N(y) & U| is odd.
+    flag = 1 << n_total
+    k_flag = flag if k & 1 else 0
+    two_k = 2 * k
+    stack = [(0, [], 0, -two_k * ny, 0, 0, (pow3[n_total] - 1) // 2,
+              2 * nx + k * ny)]
+    while stack:
+        (u_mask, comps, reach, neg, xpar, dodd, c_code,
+         const) = stack.pop()
+        cy = y_all & ~u_mask
+        tcount = cy.bit_count()
         evaluated += 1 << tcount
-        # Gray-code walk over B subsets: one vertex toggles per step, so
-        # the weight sum, |B|, the code and the odd-component set update
-        # in O(1).
-        cur = 0
-        sw = 0
-        nb = 0
-        code = c_code
-        odd_mask = odd0
-        step = 0
-        last = 1 << tcount
-        while True:
-            dlt = const + sw - odd_mask.bit_count()
-            odd_deltas += dlt & 1
-            if dlt < 0 and code < first_code:
-                first_code, first_d = code, dlt
-                first_state = (c_mask, cur, ys)
-            na = c_size - nb
-            if (best_state is None or dlt < best_d
-                    or (dlt == best_d
-                        and (nb < best_nb
-                             or (nb == best_nb and na > best_na)))):
-                best_d, best_nb, best_na = dlt, nb, na
-                best_state = (c_mask, cur, ys)
-                best_lex = None
-            elif dlt == best_d and nb == best_nb and na == best_na:
-                if best_lex is None:
-                    best_lex = lex_of(*best_state)
-                cand = lex_of(c_mask, cur, ys)
-                if cand < best_lex:
+        # No delta of this U is below lb.
+        lb = const - reach + neg
+        if (best_state is not None and lb > best_d
+                and (lb >= 0 or c_code > first_code)):
+            # No pair of this U can beat or tie the best pair, nor be an
+            # earlier barrier, so its walk is skipped.  Over GF(2) a
+            # pair's delta is const + (flag bits) plus, for each y in B,
+            # its weight plus the number of rows holding y; the walk
+            # would count half of the pairs odd when some such term is
+            # odd, and otherwise all or none of them.
+            if (dodd ^ xpar) & cy:
+                odd_deltas += 1 << tcount >> 1
+            elif (const + (xpar >> n_total)) & 1:
+                odd_deltas += 1 << tcount
+        else:
+            walked += 1 << tcount
+            c_mask = all_mask ^ u_mask
+            c_size = c_mask.bit_count()
+            # The B-candidates in increasing order, with weights and
+            # powers of 3.  odd0 holds the components odd at B = empty,
+            # and affect[j] those whose parity flips when ys[j] toggles,
+            # each component as the bit of its lowest vertex.
+            ys = list(bits(cy))
+            wts = [(adjg[y] & u_mask).bit_count() - two_k for y in ys]
+            pows = [pow3[y] for y in ys]
+            odd0 = 0
+            affect = [0] * tcount
+            for m, row in comps:
+                rep = m & -m
+                if row & flag:
+                    odd0 |= rep
+                for j in range(tcount):
+                    if row >> ys[j] & 1:
+                        affect[j] |= rep
+            # Gray-code walk over B subsets: one vertex toggles per
+            # step, so the weight sum, |B|, the code and the
+            # odd-component set update in O(1).
+            cur = 0
+            sw = 0
+            nb = 0
+            code = c_code
+            odd_mask = odd0
+            step = 0
+            last = 1 << tcount
+            while True:
+                dlt = const + sw - odd_mask.bit_count()
+                odd_deltas += dlt & 1
+                if dlt < 0 and code < first_code:
+                    first_code, first_d = code, dlt
+                    first_state = (c_mask, cur, ys)
+                na = c_size - nb
+                if (best_state is None or dlt < best_d
+                        or (dlt == best_d
+                            and (nb < best_nb
+                                 or (nb == best_nb and na > best_na)))):
+                    best_d, best_nb, best_na = dlt, nb, na
                     best_state = (c_mask, cur, ys)
-                    best_lex = cand
-            step += 1
-            if step == last:
-                break
-            j = (step & -step).bit_length() - 1
-            bit = 1 << j
-            cur ^= bit
-            if cur & bit:
-                sw += wts[j]
-                nb += 1
-                code += pows[j]
+                    best_lex = None
+                elif dlt == best_d and nb == best_nb and na == best_na:
+                    if best_lex is None:
+                        best_lex = lex_of(*best_state)
+                    cand = lex_of(c_mask, cur, ys)
+                    if cand < best_lex:
+                        best_state = (c_mask, cur, ys)
+                        best_lex = cand
+                step += 1
+                if step == last:
+                    break
+                j = (step & -step).bit_length() - 1
+                bit = 1 << j
+                cur ^= bit
+                if cur & bit:
+                    sw += wts[j]
+                    nb += 1
+                    code += pows[j]
+                else:
+                    sw -= wts[j]
+                    nb -= 1
+                    code -= pows[j]
+                odd_mask ^= affect[j]
+        # Children: U + v for every v above U's highest vertex, pushed
+        # highest first, so that the lowest is popped first.  On the
+        # `criterion` benchmark's hosts this order leaves 17% of the
+        # pairs to the walk, the reverse order 36%.
+        for v in range(n_total - 1, u_mask.bit_length() - 1, -1):
+            vb = 1 << v
+            av = adjg[v]
+            if v >= nx:
+                # A Y-vertex leaves the B-candidates (its weight leaves
+                # neg) and adds k to its component's target.
+                own = k_flag
+                w = (av & u_mask).bit_count() - two_k
+                nneg = neg - w if w < 0 else neg
+                nconst = const - k
+                ndodd = dodd
             else:
-                sw -= wts[j]
-                nb -= 1
-                code -= pows[j]
-            odd_mask ^= affect[j]
+                # An X-vertex adds 1 to the weight of each neighbour.
+                own = av & ~u_mask
+                nneg = neg
+                for y in bits(own):
+                    if (adjg[y] & u_mask).bit_count() < two_k:
+                        nneg += 1
+                nconst = const - 2
+                ndodd = dodd ^ av
+            # v joins the components it meets; their rows and its own
+            # merge by XOR, and v leaves the row as it leaves C.
+            merged = vb
+            row = own
+            nreach = reach
+            ncomps = []
+            for comp in comps:
+                m, r = comp
+                if m & av:
+                    merged |= m
+                    row ^= r
+                    if r:
+                        nreach -= 1
+                else:
+                    ncomps.append(comp)
+            # xpar loses the merged rows (row ^ own before the mask) and
+            # gains the new one.
+            gone = row ^ own
+            row &= ~vb
+            if row:
+                nreach += 1
+            ncomps.append((merged, row))
+            stack.append((u_mask | vb, ncomps, nreach, nneg,
+                          xpar ^ gone ^ row, ndodd, c_code - pow3[v],
+                          nconst))
     if best_state is None:  # the (empty, empty) pair is always scanned
         raise RuntimeError("deficiency scan evaluated no pair")
 
@@ -361,7 +438,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
 
     first = None if first_state is None else checked(first_state, first_d)
     return ScanResult(checked(best_state, best_d), first,
-                      ScanStats(evaluated, odd_deltas, parity_checked))
+                      ScanStats(evaluated, odd_deltas, parity_checked, walked))
 
 
 def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,

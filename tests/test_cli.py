@@ -323,6 +323,19 @@ def test_theorem_random_porcelain(capsys):
     assert "seed=9" in lines
 
 
+def test_theorem_size_cap_is_usage_error(capsys):
+    # n <= 5 is the exhaustive mode's range, not a budget: exit 2, and
+    # no budget option raises it.
+    code, out, err = run(capsys, "theorem", "-k", "1", "--n-max", "6")
+    assert code == 2
+    assert out == ""
+    assert "exhaustive theorem verification supports n <= 5, got 6" in err
+    code, _, err = run(capsys, "theorem", "-k", "1", "--n-max", "11",
+                       "--trials", "1")
+    assert code == 2
+    assert "random theorem verification supports n <= 10, got 11" in err
+
+
 def test_tightness_cli(capsys):
     code, out, _ = run(capsys, "tightness", "-k", "1", "--budget", "74",
                        "--n-max", "4")

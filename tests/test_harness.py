@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from bergefactor import (
-    BudgetExceededError,
     EdgeSizeLaw,
     ExhaustiveMode,
     GenParams,
@@ -129,9 +128,11 @@ def test_verify_theorem_random_mode():
 
 
 def test_verify_theorem_budget_and_validation():
-    with pytest.raises(BudgetExceededError):
+    # The size caps are range checks of the call, not budgets: no budget
+    # can raise them.
+    with pytest.raises(ValueError, match="supports n <= 5, got 6"):
         verify_theorem((1, 6), 1, ExhaustiveMode())
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError, match="supports n <= 10, got 11"):
         verify_theorem((3, 11), 1, RandomMode(trials=1, seed=0))
     with pytest.raises(ValueError):
         verify_theorem((1, 4), 1, RandomMode(trials=1, seed=0))

@@ -185,6 +185,60 @@ def test_scan_even_parity_exhaustive():
                 assert delta(g, a, b, spec).delta % 2 == 0, (g, k, a, b)
 
 
+def test_scan_counts_skipped_pairs_exactly():
+    """The lower bound skips the walk over B for some U-sets, but every
+    pair still counts: `evaluated` is 2^|X| * 3^|Y|, and `odd_deltas`
+    is the number of odd deltas over all pairs with B inside Y, which
+    is all of them when k * |Y| is odd and none when it is even."""
+    from bergefactor.harness import enumerate_bipartite_graphs
+
+    skipped = skipped_odd = 0
+    for g in enumerate_bipartite_graphs(5):
+        nx, ny = g.x_count, g.y_count
+        n = nx + ny
+        for k in (1, 2, 3):
+            res = deficiency_scan(g, DegreeSpec(k))
+            pairs = 2 ** nx * 3 ** ny
+            assert res.stats.evaluated == pairs, (g, k)
+            odd = 0
+            for code in range(3 ** n):
+                digits = [code // 3 ** v % 3 for v in range(n)]
+                if any(digits[x] == 2 for x in range(nx)):
+                    continue
+                a = [v for v in range(n) if digits[v] == 1]
+                b = [v for v in range(n) if digits[v] == 2]
+                odd += oracles.delta_naive(nx, ny, g.neighbors, k, a, b)[0] & 1
+            assert res.stats.odd_deltas == odd, (g, k)
+            assert odd == (pairs if k * ny % 2 else 0), (g, k)
+            if res.stats.walked < pairs:
+                skipped += 1
+                skipped_odd += k * ny % 2
+    # Both parities of k * |Y| must reach the skipped-U counts.
+    assert skipped > 300 and skipped_odd > 100
+
+
+def test_scan_walk_skips_pairs_that_cannot_win():
+    # The same pairs as a full walk, fewer of them scored: the walk over
+    # B is skipped for a U whose lower bound is above the best delta and
+    # that can hold no earlier barrier.  A full walk scores `evaluated`.
+    g = incidence_graph(star(3))
+    res = deficiency_scan(g, DegreeSpec(1))
+    assert (res.biased.a, res.biased.b, res.biased.delta) == ((3,), (), -2)
+    assert (res.first.a, res.first.b, res.first.delta) == ((3,), (), -2)
+    assert res.stats.evaluated == 648
+    assert res.stats.walked == 128 < 648
+    # A factor-less host of the criterion benchmark's size, |X| + |Y| = 10.
+    g = BipartiteGraph(5, 5, [(0, 2, 3, 4), (0, 1, 2), (1,), (4,), (1, 3, 4)])
+    res = deficiency_scan(g, DegreeSpec(2))
+    assert (res.biased.a, res.biased.b, res.biased.delta) == (
+        (0, 1, 4), (5, 6, 7, 8, 9), -4)
+    assert (res.first.a, res.first.b, res.first.delta) == (
+        (), (5, 6, 7), -2)
+    assert res.stats.evaluated == 7776
+    assert res.stats.odd_deltas == 0
+    assert res.stats.walked == 744 < 7776
+
+
 def test_scan_minimum_is_gadget_deficiency_k3():
     """The scan's minimum deficiency is minus the gadget's matching
     deficiency (the Tutte-Berge formula of the split-incidence gadget),

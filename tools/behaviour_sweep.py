@@ -34,7 +34,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bergefactor import (BudgetExceededError, DegreeSpec,  # noqa: E402
+                         deficiency_scan)
 from bergefactor.cli import cli  # noqa: E402
+from bergefactor.formats import load_bipartite  # noqa: E402
 
 
 def hg_text(n: int, edges) -> str:
@@ -105,6 +108,19 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def scan_line(name: str, k: int) -> None:
+    g = load_bipartite(name)
+    try:
+        res = deficiency_scan(g, DegreeSpec(k))
+    except BudgetExceededError as e:
+        record = f"refused: {e}"
+    else:
+        record = repr((res.biased, res.first, res.stats.evaluated,
+                       res.stats.odd_deltas))
+    digest = hashlib.sha256(record.encode()).hexdigest()
+    print("  ".join(["scan", name, str(k), digest]))
+
+
 def barrier_text(stdout: str) -> str:
     """The `.bar` part of a barrier run: everything before the clause
     report that `--check-structure` appends."""
@@ -124,6 +140,8 @@ def sweep() -> None:
         if name.startswith("tough"):
             continue
         for k in (1, 2, 3):
+            if name.endswith(".big"):
+                scan_line(name, k)
             code, out = run(["criterion", name, "-k", str(k)])
             if code == 1:
                 certs.append((name, f"{stem}.criterion.k{k}.bar",
