@@ -16,8 +16,8 @@ from .formats import (FormatError, load_barrier, load_bipartite,
                       load_certificate, load_hypergraph, parse_bar,
                       parse_big, parse_bkf, parse_hg, serialize_bar,
                       serialize_big, serialize_bkf, serialize_hg)
-from .harness import (EdgeSizeLaw, ExhaustiveMode, GenParams, RandomMode,
-                      TheoremReport, TightnessResult, Violation,
+from .harness import (ExhaustiveMode, RandomMode, TheoremReport,
+                      TightnessResult, Violation,
                       enumerate_bipartite_graphs, enumerate_graph_edge_sets,
                       enumerate_hypergraphs, gen_random_bipartite,
                       gen_random_hypergraph, possible_edges,
@@ -47,7 +47,7 @@ __all__ = [
     "FormatError", "load_barrier", "load_bipartite", "load_certificate",
     "load_hypergraph", "parse_bar", "parse_big", "parse_bkf", "parse_hg",
     "serialize_bar", "serialize_big", "serialize_bkf", "serialize_hg",
-    "EdgeSizeLaw", "ExhaustiveMode", "GenParams", "RandomMode",
+    "ExhaustiveMode", "RandomMode",
     "TheoremReport", "TightnessResult", "Violation",
     "enumerate_bipartite_graphs", "enumerate_graph_edge_sets",
     "enumerate_hypergraphs", "gen_random_bipartite", "gen_random_hypergraph",

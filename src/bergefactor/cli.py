@@ -27,6 +27,19 @@ from .parity_criterion import (DegreeSpec, check_barrier_structure,
                                find_biased_barrier)
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of the options that give a count or a budget: a
+    negative one is a usage error (exit 2), not an empty run."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _set_fmt(vs) -> str:
     return "{" + ",".join(map(str, vs)) + "}"
 
@@ -219,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     def budget_opt(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--enum-budget", type=int, default=None, metavar="N",
+        sp.add_argument("--enum-budget", type=_non_negative, default=None,
+                        metavar="N",
                         help="override the enumeration size budget")
 
     sp = cmd("toughness", _cmd_toughness,
@@ -273,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--n-min", type=int, default=None)
-    sp.add_argument("--max-edges", type=int, default=6)
-    sp.add_argument("--trials", type=int, default=None,
+    sp.add_argument("--max-edges", type=_non_negative, default=6)
+    sp.add_argument("--trials", type=_non_negative, default=None,
                     help="random mode with this many instances")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--porcelain", action="store_true",
@@ -283,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cmd("tightness", _cmd_tightness,
              "search for the toughest factor-less instance")
     sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True,
+    sp.add_argument("--budget", type=_non_negative, required=True,
                     help="number of streamed instances to examine")
     sp.add_argument("--n-max", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)

@@ -17,50 +17,21 @@ from .incidence import BipartiteGraph, incidence_graph
 from .parity_criterion import Barrier, DegreeSpec, find_biased_barrier
 
 
-@dataclass(frozen=True)
-class EdgeSizeLaw:
-    """Edge sizes drawn uniformly from [lo, hi] (a point law when
-    lo == hi)."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class GenParams:
-    """Recipe for one random hypergraph; identical params give
-    identical output."""
-
-    n: int
-    m: int
-    law: EdgeSizeLaw
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
-
-
-def gen_random_hypergraph(p: GenParams) -> Hypergraph:
-    """Draw m edges, sizes per the law, vertex sets uniform without
-    replacement inside each edge (repeated edges across draws are kept:
-    multiset semantics)."""
-    if p.law.lo > p.n:
-        raise ValueError(
-            f"edge size law lo={p.law.lo} is impossible on {p.n} vertices")
-    hi = min(p.law.hi, p.n)
-    rng = random.Random(p.seed)
+def gen_random_hypergraph(n: int, m: int, seed: int) -> Hypergraph:
+    """Draw m edges, each of a size uniform in 2..n, vertex sets uniform
+    without replacement inside each edge (repeated edges across draws
+    are kept: multiset semantics).  Identical arguments give identical
+    output."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 for edges of size >= 2, got {n}")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    rng = random.Random(seed)
     edges = []
-    for _ in range(p.m):
-        size = rng.randint(p.law.lo, hi)
-        edges.append(tuple(sorted(rng.sample(range(p.n), size))))
-    return Hypergraph(p.n, sorted(edges))
+    for _ in range(m):
+        size = rng.randint(2, n)
+        edges.append(tuple(sorted(rng.sample(range(n), size))))
+    return Hypergraph(n, sorted(edges))
 
 
 def gen_random_bipartite(x_count: int, y_count: int, density: float,
@@ -195,8 +166,7 @@ def verify_theorem(n_range: tuple[int, int], k: int,
             for _ in range(mode.trials):
                 n = rng.randint(n_lo, n_hi)
                 m = rng.randint(1, 6)
-                yield gen_random_hypergraph(
-                    GenParams(n, m, EdgeSizeLaw(2, n), rng.getrandbits(32)))
+                yield gen_random_hypergraph(n, m, rng.getrandbits(32))
 
         instances = draw()
         seed = mode.seed
@@ -242,8 +212,7 @@ def _tightness_stream(k: int, n_max: int, seed: int) -> Iterator[Hypergraph]:
     while True:
         n = rng.randint(3, n_max)
         m = rng.randint(1, 2 * n)
-        yield gen_random_hypergraph(
-            GenParams(n, m, EdgeSizeLaw(2, n), rng.getrandbits(32)))
+        yield gen_random_hypergraph(n, m, rng.getrandbits(32))
 
 
 def tightness_search(k: int, max_instances: int, n_max: int = 8,

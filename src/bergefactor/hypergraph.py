@@ -251,9 +251,12 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
             if c >= need:
                 if bd == 0 or size * bd < bn * c:
                     bn, bd, best_mask, need = size, c, s_mask, c
-                elif (size == bn and c == bd
-                      and bit_tuple(s_mask) < bit_tuple(best_mask)):
-                    best_mask = s_mask
+                elif size == bn and c == bd:
+                    # Equal sizes: the set holding the least element of
+                    # the symmetric difference is the smaller tuple.
+                    diff = s_mask ^ best_mask
+                    if s_mask & diff & -diff:
+                        best_mask = s_mask
             if not s_mask:
                 break
             # Gosper's step: the next larger mask with the same popcount.

@@ -213,7 +213,9 @@ def _searches(g: GeneralGraph, match: list[int]) -> Iterator[bool]:
 
 
 def _matching_of(match: list[int]) -> Matching:
-    return Matching.make((v, w) for v, w in enumerate(match) if v < w)
+    # Read off the mate array, pairs come out as (smaller, larger) in
+    # ascending order, which is the order `Matching.make` would sort to.
+    return Matching(tuple((v, w) for v, w in enumerate(match) if v < w))
 
 
 def max_matching(g: GeneralGraph) -> Matching:

@@ -257,19 +257,15 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     evaluated = 0
     odd_deltas = 0
     walked = 0
-    best_d = best_nb = best_na = 0  # seeded below by the first pair
-    best_state: tuple[int, int, list[int]] | None = None  # (c_mask, bi, ys)
-    best_lex: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    # Each selection is kept as the masks of C = A + B and of B.  The
+    # biased one starts at the walk's first pair, A = V and B empty.
+    best_d = 2 * nx + k * ny
+    best_nb, best_na = 0, n_total
+    best_c, best_b = all_mask, 0
     pow3 = [3 ** v for v in range(n_total + 1)]
     first_code = pow3[n_total]  # above every assignment code
-    first_d = 0
-    first_state: tuple[int, int, list[int]] | None = None
-
-    def lex_of(c_mask: int, bi: int, ys: list[int]
-               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        b_ids = tuple(ys[j] for j in bit_tuple(bi))
-        b_mask = mask_of(b_ids)
-        return b_ids, bit_tuple(c_mask ^ b_mask)
+    first_d = 0  # stays 0 while no barrier is found
+    first_c = first_b = 0
 
     # One stack entry per U: (u_mask, comps, reach, neg, xpar, dodd,
     # c_code, const).  comps lists G[U]'s components as (mask, row)
@@ -296,8 +292,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         evaluated += 1 << tcount
         # No delta of this U is below lb.
         lb = const - reach + neg
-        if (best_state is not None and lb > best_d
-                and (lb >= 0 or c_code > first_code)):
+        if lb > best_d and (lb >= 0 or c_code > first_code):
             # No pair of this U can beat or tie the best pair, nor be an
             # earlier barrier, so its walk is skipped.  Over GF(2) a
             # pair's delta is const + (flag bits) plus, for each y in B,
@@ -312,11 +307,12 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             walked += 1 << tcount
             c_mask = all_mask ^ u_mask
             c_size = c_mask.bit_count()
-            # The B-candidates in increasing order, with weights and
-            # powers of 3.  odd0 holds the components odd at B = empty,
-            # and affect[j] those whose parity flips when ys[j] toggles,
-            # each component as the bit of its lowest vertex.
+            # The B-candidates in increasing order, with their bits,
+            # weights and powers of 3.  odd0 holds the components odd at
+            # B = empty, and affect[j] those whose parity flips when ys[j]
+            # toggles, each component as the bit of its lowest vertex.
             ys = list(bits(cy))
+            ybits = [1 << y for y in ys]
             wts = [(adjg[y] & u_mask).bit_count() - two_k for y in ys]
             pows = [pow3[y] for y in ys]
             odd0 = 0
@@ -326,10 +322,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 if row & flag:
                     odd0 |= rep
                 for j in range(tcount):
-                    if row >> ys[j] & 1:
+                    if row & ybits[j]:
                         affect[j] |= rep
-            # Gray-code walk over B subsets: one vertex toggles per
-            # step, so the weight sum, |B|, the code and the
+            # Gray-code walk over B subsets (cur is B's mask): one vertex
+            # toggles per step, so the weight sum, |B|, the code and the
             # odd-component set update in O(1).
             cur = 0
             sw = 0
@@ -343,27 +339,32 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 odd_deltas += dlt & 1
                 if dlt < 0 and code < first_code:
                     first_code, first_d = code, dlt
-                    first_state = (c_mask, cur, ys)
+                    first_c, first_b = c_mask, cur
                 na = c_size - nb
-                if (best_state is None or dlt < best_d
+                if (dlt < best_d
                         or (dlt == best_d
                             and (nb < best_nb
                                  or (nb == best_nb and na > best_na)))):
                     best_d, best_nb, best_na = dlt, nb, na
-                    best_state = (c_mask, cur, ys)
-                    best_lex = None
+                    best_c, best_b = c_mask, cur
                 elif dlt == best_d and nb == best_nb and na == best_na:
-                    if best_lex is None:
-                        best_lex = lex_of(*best_state)
-                    cand = lex_of(c_mask, cur, ys)
-                    if cand < best_lex:
-                        best_state = (c_mask, cur, ys)
-                        best_lex = cand
+                    # B-sets and A-sets have equal sizes here, and of two
+                    # such sets the one holding the least element of their
+                    # symmetric difference is the smaller sorted tuple.
+                    # With B equal, A ^ A' = C ^ C'.
+                    diff = cur ^ best_b
+                    if diff:
+                        win = cur & diff & -diff
+                    else:
+                        diff = c_mask ^ best_c
+                        win = c_mask & diff & -diff
+                    if win:
+                        best_c, best_b = c_mask, cur
                 step += 1
                 if step == last:
                     break
                 j = (step & -step).bit_length() - 1
-                bit = 1 << j
+                bit = ybits[j]
                 cur ^= bit
                 if cur & bit:
                     sw += wts[j]
@@ -423,21 +424,19 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             stack.append((u_mask | vb, ncomps, nreach, nneg,
                           xpar ^ gone ^ row, ndodd, c_code - pow3[v],
                           nconst))
-    if best_state is None:  # the (empty, empty) pair is always scanned
-        raise RuntimeError("deficiency scan evaluated no pair")
 
-    def checked(state: tuple[int, int, list[int]], want: int) -> Barrier:
+    def checked(c_mask: int, b_mask: int, want: int) -> Barrier:
         # Re-evaluate the chosen pair through `delta` and require the
         # delta the walk found for it.
-        b_ids, a_ids = lex_of(*state)
+        a_ids, b_ids = bit_tuple(c_mask ^ b_mask), bit_tuple(b_mask)
         rec = delta(g, a_ids, b_ids, spec)
         if rec.delta != want:
             raise RuntimeError(f"pair A={a_ids} B={b_ids} re-evaluates to "
                                f"delta {rec.delta}, scan found {want}")
         return rec
 
-    first = None if first_state is None else checked(first_state, first_d)
-    return ScanResult(checked(best_state, best_d), first,
+    first = checked(first_c, first_b, first_d) if first_d < 0 else None
+    return ScanResult(checked(best_c, best_b, best_d), first,
                       ScanStats(evaluated, odd_deltas, parity_checked, walked))
 
 
@@ -472,16 +471,18 @@ def h_of_z(g: BipartiteGraph, barrier: Barrier, z: Iterable[int]) -> int:
     a_x = {v for v in barrier.a if v < nx}
     if not zs <= a_x:
         raise ValueError("Z must be a subset of A intersected with X")
-    adjg = _global_adjacency(g)
+    odd_masks = [mask_of(c.vertices) for c in barrier.components if c.odd]
+    return _h_count(_global_adjacency(g), zs, mask_of(barrier.b), odd_masks)
+
+
+def _h_count(adjg: list[int], zs: Iterable[int], b_mask: int,
+             odd_masks: list[int]) -> int:
+    """h(Z) over masks: the B-vertices adjacent to Z plus the odd
+    components (given as vertex masks) that Z sends an edge into."""
     nz = 0
     for x in zs:
         nz |= adjg[x]
-    b_mask = mask_of(barrier.b)
-    count = (nz & b_mask).bit_count()
-    for comp in barrier.components:
-        if comp.odd and (mask_of(comp.vertices) & nz):
-            count += 1
-    return count
+    return (nz & b_mask).bit_count() + sum(1 for om in odd_masks if om & nz)
 
 
 def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
@@ -521,10 +522,8 @@ def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
     clause_iv = ClauseCheck(True)
     for m in range(1, 1 << len(eligible)):
         zs = tuple(eligible[j] for j in bit_tuple(m))
-        nz = 0
-        for x in zs:
-            nz |= adjg[x]
-        hz = sum(1 for om in odd_masks if om & nz)
+        # Eligible Z have no B-neighbour, so h(Z) is its odd-component count.
+        hz = _h_count(adjg, zs, b_mask, odd_masks)
         if hz < 2 * len(zs):
             clause_iv = ClauseCheck(False, f"Z = {zs} has h(Z) = {hz} < {2 * len(zs)}")
             break

@@ -13,9 +13,7 @@ import pytest
 
 from bergefactor import (
     DegreeSpec,
-    EdgeSizeLaw,
     ExhaustiveMode,
-    GenParams,
     check_barrier_structure,
     decide_by_criterion,
     deficiency_scan,
@@ -106,8 +104,7 @@ def suite2():
         n = rng.randint(3, 8)
         m = rng.randint(1, 6)
         k = i % 3 + 1
-        h = gen_random_hypergraph(
-            GenParams(n, m, EdgeSizeLaw(2, n), rng.getrandbits(32)))
+        h = gen_random_hypergraph(n, m, rng.getrandbits(32))
         g = incidence_graph(h)
         factor = find_2k_factor(g, DegreeSpec(k))
         if factor is not None:

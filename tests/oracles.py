@@ -210,11 +210,14 @@ def delta_naive(nx, ny, rows, k, a, b):
 
 def scan_all_pairs(nx, ny, rows, k):
     """Every disjoint (A, B) over the full vertex set (B may meet X).
-    Returns (min delta, biased (a, b), any odd delta seen)."""
+    Returns (min delta, biased (a, b), any odd delta seen, number of
+    pairs sharing the biased pair's (delta, |B|, -|A|)); more than one
+    such pair means the (B, A) tie-break decides."""
     n = nx + ny
     best_key = None
     best_pair = None
     saw_odd = False
+    ties = 0
     for assign in product((0, 1, 2), repeat=n):
         a = tuple(v for v in range(n) if assign[v] == 1)
         b = tuple(v for v in range(n) if assign[v] == 2)
@@ -222,10 +225,14 @@ def scan_all_pairs(nx, ny, rows, k):
         if val % 2 != 0:
             saw_odd = True
         key = (val, len(b), -len(a), b, a)
+        if best_key is None or key[:3] < best_key[:3]:
+            ties = 1
+        elif key[:3] == best_key[:3]:
+            ties += 1
         if best_key is None or key < best_key:
             best_key = key
             best_pair = (a, b)
-    return best_key[0], best_pair, saw_odd
+    return best_key[0], best_pair, saw_odd, ties
 
 
 def first_barrier_ternary(nx, ny, rows, k):

@@ -371,6 +371,25 @@ def test_pair_budget_exit_code(capsys, tmp_path):
     assert "pair budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["criterion", "{hg}", "-k", "1", "--enum-budget", "-1"],
+    ["theorem", "-k", "1", "--n-max", "3", "--max-edges", "-1"],
+    ["theorem", "-k", "1", "--n-max", "3", "--trials", "-3"],
+    ["tightness", "-k", "1", "--budget", "-1"],
+])
+def test_negative_count_is_usage_error(capsys, star_hg, argv):
+    code, out, err = run(capsys, *(a.format(hg=star_hg) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "must be non-negative" in err
+
+
+def test_count_option_keeps_int_parse_error(capsys):
+    code, _, err = run(capsys, "tightness", "-k", "1", "--budget", "x")
+    assert code == 2
+    assert "invalid int value: 'x'" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "toughness", "/nonexistent/x.hg")
     assert code == 2

@@ -145,7 +145,7 @@ def test_scan_matches_full_pair_space():
         for k in (1, 2):
             spec = DegreeSpec(k)
             got = deficiency_scan(g, spec)
-            want_min, want_pair, saw_odd = oracles.scan_all_pairs(
+            want_min, want_pair, saw_odd, _ = oracles.scan_all_pairs(
                 g.x_count, g.y_count, g.neighbors, k)
             assert got.biased.delta == want_min
             assert (got.biased.a, got.biased.b) == want_pair
@@ -364,7 +364,7 @@ def test_biased_barrier_matches_oracle_key():
     for _ in range(30):
         g = _random_bipartite(rng, nx_hi=3, ny_hi=3)
         k = rng.choice((1, 2))
-        want_min, want_pair, _ = oracles.scan_all_pairs(
+        want_min, want_pair, _, _ = oracles.scan_all_pairs(
             g.x_count, g.y_count, g.neighbors, k)
         if want_min >= 0:
             continue
@@ -373,6 +373,25 @@ def test_biased_barrier_matches_oracle_key():
         assert br.delta == want_min
         assert (br.a, br.b) == want_pair
     assert hits > 3
+
+
+def test_biased_pair_matches_oracle_on_small_census():
+    """Every host with |X| + |Y| <= 5 at k = 1, 2: the scan's biased
+    pair is the oracle's, residual (B, A) ties included.  The scan
+    breaks those ties by the least element of a symmetric difference,
+    so the census must contain hosts where more than one pair shares
+    the minimal (delta, |B|, -|A|)."""
+    from bergefactor.harness import enumerate_bipartite_graphs
+
+    tie_decided = 0
+    for g in enumerate_bipartite_graphs(5):
+        for k in (1, 2):
+            got = deficiency_scan(g, DegreeSpec(k)).biased
+            want_min, want_pair, _, ties = oracles.scan_all_pairs(
+                g.x_count, g.y_count, g.neighbors, k)
+            assert (got.delta, (got.a, got.b)) == (want_min, want_pair), (g, k)
+            tie_decided += ties > 1
+    assert tie_decided > 0, tie_decided
 
 
 # ------------------------------------------------------------- h measure

@@ -6,12 +6,17 @@ Writes a fixed corpus of small inputs into a temporary directory, runs
 every `.bar` and `.bkf` certificate those runs print.  The `tough*.hg`
 files, random hypergraphs with 11 to 14 vertices, go through `toughness`
 and `y-toughness` only: they cover the sizes at which the toughness scan
-prunes most.  Each run prints one line
+prunes most.  Last come the two commands that draw from the package's
+random hypergraph generator: `theorem --porcelain` exhaustively with
+n <= 4 at k = 1, 2 and once in random mode, and one small
+`tightness --porcelain` run whose stream goes past its graph census.
+Each run prints one line
 
     argv  exit  sha256(stdout)  sha256(stderr)
 
-with paths relative to the corpus directory, so the outputs of two
-checkouts compare with `diff`:
+with paths relative to the corpus directory and the `elapsed=` line of
+stdout left out of its hash, so the outputs of two checkouts compare
+with `diff`:
 
     python3 tools/behaviour_sweep.py > after.txt
 
@@ -102,8 +107,10 @@ def run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli(argv)
-    digest = [hashlib.sha256(s.getvalue().encode()).hexdigest()
-              for s in (out, err)]
+    kept = "".join(ln for ln in out.getvalue().splitlines(keepends=True)
+                   if not ln.startswith("elapsed="))
+    digest = [hashlib.sha256(s.encode()).hexdigest()
+              for s in (kept, err.getvalue())]
     print("  ".join([" ".join(argv), str(code)] + digest))
     return code, out.getvalue()
 
@@ -164,6 +171,14 @@ def sweep() -> None:
             run(["verify", name, cert, "-k", str(k)])
         else:
             run(["verify", name, cert])
+    for k in (1, 2):
+        run(["theorem", "-k", str(k), "--n-max", "4", "--porcelain"])
+    run(["theorem", "-k", "2", "--n-max", "6", "--trials", "500",
+         "--seed", "1", "--porcelain"])
+    # With n <= 4 the graph census is 74 instances long, so most of
+    # these 600 come from the random generator.
+    run(["tightness", "-k", "2", "--budget", "600", "--n-max", "4",
+         "--seed", "5", "--porcelain"])
 
 
 def main() -> None:
