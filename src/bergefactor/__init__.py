@@ -25,17 +25,15 @@ from .harness import (ExhaustiveMode, RandomMode, TheoremReport,
 from .hypergraph import (BergeFactorCertificate, Hypergraph, StrongDeletion,
                          ToughnessValue, Verdict, components, is_complete,
                          strong_delete, toughness, verify_berge_factor)
-from .incidence import (BipartiteGraph, YStrongDeletion, bipartite_components,
-                        hypergraph_of, incidence_graph, strong_delete_y,
+from .incidence import (BipartiteGraph, hypergraph_of, incidence_graph,
                         y_toughness)
 from .matching import (GeneralGraph, Matching, is_perfect, max_matching,
                        perfect_matching)
 from .parity_criterion import (Barrier, ClauseCheck, Component,
                                CriterionResult, DegreeSpec, FactorExistsError,
                                ScanResult, ScanStats, StructureReport,
-                               check_barrier_structure, classify_component,
-                               decide_by_criterion, deficiency_scan, delta,
-                               find_biased_barrier, h_of_z)
+                               check_barrier_structure, decide_by_criterion,
+                               deficiency_scan, delta, find_biased_barrier)
 
 __version__ = "0.1.0"
 
@@ -55,12 +53,11 @@ __all__ = [
     "BergeFactorCertificate", "Hypergraph", "StrongDeletion",
     "ToughnessValue", "Verdict", "components", "is_complete",
     "strong_delete", "toughness", "verify_berge_factor",
-    "BipartiteGraph", "YStrongDeletion", "bipartite_components",
-    "hypergraph_of", "incidence_graph", "strong_delete_y", "y_toughness",
+    "BipartiteGraph", "hypergraph_of", "incidence_graph", "y_toughness",
     "GeneralGraph", "Matching", "is_perfect", "max_matching",
     "perfect_matching",
     "Barrier", "ClauseCheck", "Component", "CriterionResult", "DegreeSpec",
     "FactorExistsError", "ScanResult", "ScanStats", "StructureReport",
-    "check_barrier_structure", "classify_component", "decide_by_criterion",
-    "deficiency_scan", "delta", "find_biased_barrier", "h_of_z",
+    "check_barrier_structure", "decide_by_criterion", "deficiency_scan",
+    "delta", "find_biased_barrier",
 ]

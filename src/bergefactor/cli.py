@@ -126,8 +126,12 @@ def _cmd_factor(args) -> int:
 def _cmd_verify(args) -> int:
     cert_path = Path(args.cert)
     if cert_path.suffix == ".bkf":
-        verdict = verify_berge_factor(load_hypergraph(args.file),
-                                      load_certificate(cert_path))
+        h = load_hypergraph(args.file)
+        cert = load_certificate(cert_path)
+        if args.k is not None and args.k != cert.k:
+            print(f"reject: certificate is for k={cert.k}, not k={args.k}")
+            return 1
+        verdict = verify_berge_factor(h, cert)
         if verdict:
             print("accept")
             return 0
@@ -280,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
              "verify a .bkf factor certificate or a .bar barrier certificate")
     sp.add_argument("file", help="the graph the certificate refers to")
     sp.add_argument("cert")
-    sp.add_argument("-k", type=int, help="degree target (required for .bar)")
+    sp.add_argument("-k", type=int,
+                    help="degree target (required for .bar, checked for .bkf)")
 
     sp = cmd("theorem", _cmd_theorem,
              "verify the toughness theorem exhaustively or on random instances")

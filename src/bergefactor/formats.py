@@ -85,6 +85,8 @@ def parse_big(text: str) -> BipartiteGraph:
     if len(head) != 2:
         raise FormatError(f"header must be '|X| |Y|', got {lines[0]!r}")
     nx, ny = head
+    if nx < 0 or ny < 0:
+        raise FormatError(f"header '|X| |Y|' must be non-negative, got {lines[0]!r}")
     if len(lines) - 1 < nx:
         raise FormatError(f"expected {nx} neighbor lines, found {len(lines) - 1}")
     rows = []

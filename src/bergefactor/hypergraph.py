@@ -119,9 +119,6 @@ class Verdict:
         return self.ok
 
 
-ACCEPT = Verdict(True)
-
-
 def _find(parent: list[int], v: int) -> int:
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -305,4 +302,4 @@ def verify_berge_factor(h: Hypergraph, cert: BergeFactorCertificate) -> Verdict:
         if d != cert.k:
             return Verdict(
                 False, f"degree violated: vertex {v} has degree {d}, want {cert.k}")
-    return ACCEPT
+    return Verdict(True)

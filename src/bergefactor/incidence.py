@@ -1,4 +1,4 @@
-"""Incidence bipartite view of a hypergraph, and Y-side strong deletion.
+"""Incidence bipartite view of a hypergraph, and Y-toughness.
 
 X-vertices stand for hyperedges, Y-vertices for hypergraph vertices,
 with x ~ y exactly when the hyperedge contains the vertex.  Strongly
@@ -13,12 +13,10 @@ first: x_i has id i, y_j has id x_count + j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .hypergraph import (Hypergraph, ToughnessValue, _component_groups,
-                         toughness)
+from .hypergraph import Hypergraph, ToughnessValue, toughness
 
 
 class BipartiteGraph:
@@ -51,18 +49,6 @@ class BipartiteGraph:
                 rev[y].append(x)
         return tuple(tuple(r) for r in rev)
 
-    @property
-    def has_isolated_x(self) -> bool:
-        return any(not nbrs for nbrs in self.neighbors)
-
-    def x_id(self, i: int) -> int:
-        """Global vertex id of x_i."""
-        return i
-
-    def y_id(self, j: int) -> int:
-        """Global vertex id of y_j."""
-        return self.x_count + j
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BipartiteGraph)
                 and self.x_count == other.x_count
@@ -75,15 +61,6 @@ class BipartiteGraph:
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.x_count}, {self.y_count}, "
                 f"{[list(n) for n in self.neighbors]})")
-
-
-@dataclass(frozen=True)
-class YStrongDeletion:
-    """Survivors of a Y-side strong deletion, with old->new index maps."""
-
-    graph: BipartiteGraph
-    x_map: dict[int, int]
-    y_map: dict[int, int]
 
 
 def incidence_graph(h: Hypergraph) -> BipartiteGraph:
@@ -102,37 +79,6 @@ def hypergraph_of(g: BipartiteGraph) -> Hypergraph:
             raise ValueError(
                 f"not hypergraph-representable: X-vertex {x} is isolated")
     return Hypergraph(g.y_count, g.neighbors)
-
-
-def strong_delete_y(g: BipartiteGraph, s: Iterable[int]) -> YStrongDeletion:
-    """Remove the Y-set `s`, every X-vertex adjacent to it, and all
-    incident edges; survivors are reindexed contiguously."""
-    s_set = set(s)
-    for y in s_set:
-        if not 0 <= y < g.y_count:
-            raise ValueError(f"Y-vertex {y} outside 0..{g.y_count - 1}")
-    keep_x = [x for x in range(g.x_count)
-              if not any(y in s_set for y in g.neighbors[x])]
-    keep_y = [y for y in range(g.y_count) if y not in s_set]
-    x_map = {x: i for i, x in enumerate(keep_x)}
-    y_map = {y: j for j, y in enumerate(keep_y)}
-    nbrs = [[y_map[y] for y in g.neighbors[x]] for x in keep_x]
-    return YStrongDeletion(
-        BipartiteGraph(len(keep_x), len(keep_y), nbrs), x_map, y_map)
-
-
-def bipartite_components(g: BipartiteGraph
-                         ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Connected components as (X-vertices, Y-vertices) pairs of sorted
-    tuples, ordered by smallest global id: the components of the
-    2-uniform hypergraph on global ids with one edge (x, nx + y) per
-    incidence."""
-    nx = g.x_count
-    edge_masks = [1 << x | 1 << (nx + y)
-                  for x, nbrs in enumerate(g.neighbors) for y in nbrs]
-    return [(tuple(v for v in comp if v < nx),
-             tuple(v - nx for v in comp if v >= nx))
-            for comp in _component_groups(nx + g.y_count, edge_masks, 0)]
 
 
 def y_toughness(g: BipartiteGraph, budget: int | None = None) -> ToughnessValue:

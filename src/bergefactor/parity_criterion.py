@@ -70,23 +70,18 @@ class Barrier:
         """Number of odd components of G - (A + B)."""
         return sum(c.odd for c in self.components)
 
-    @property
-    def is_barrier(self) -> bool:
-        return self.delta < 0
-
 
 @dataclass(frozen=True)
 class ScanStats:
     """Bookkeeping from an enumeration: pairs evaluated, and how many of
-    the evaluated deltas were odd (must be zero whenever k|Y| is even,
-    which `parity_checked` records).  Both count every pair the scan
-    covers, 2^|X| * 3^|Y| with B inside Y, including the pairs of the
-    U-sets whose Gray-code walk the scan's lower bound skips; `walked`
-    counts only the pairs that walk actually scored."""
+    the evaluated deltas were odd (must be zero whenever k|Y| is even).
+    Both count every pair the scan covers, 2^|X| * 3^|Y| with B inside
+    Y, including the pairs of the U-sets whose Gray-code walk the scan's
+    lower bound skips; `walked` counts only the pairs that walk actually
+    scored."""
 
     evaluated: int
     odd_deltas: int
-    parity_checked: bool
     walked: int
 
 
@@ -189,18 +184,6 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
     return Barrier(bit_tuple(a_mask), bit_tuple(b_mask), s, tuple(comps))
 
 
-def classify_component(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
-                       spec: DegreeSpec, d: Iterable[int]) -> str:
-    """Parity class ("odd" or "even") of the component `d` of
-    G - (A + B); rejects vertex sets that are not components."""
-    rec = delta(g, a, b, spec)
-    target = tuple(sorted(d))
-    for comp in rec.components:
-        if comp.vertices == target:
-            return "odd" if comp.odd else "even"
-    raise ValueError(f"{target} is not a component of G - (A + B)")
-
-
 def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                     budget: int | None = None) -> ScanResult:
     """Exact minimum of the deficiency over all disjoint pairs, with the
@@ -253,7 +236,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     adjg = _global_adjacency(g)
     all_mask = (1 << n_total) - 1
     y_all = ((1 << ny) - 1) << nx
-    parity_checked = (k * ny) % 2 == 0
     evaluated = 0
     odd_deltas = 0
     walked = 0
@@ -437,7 +419,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
 
     first = checked(first_c, first_b, first_d) if first_d < 0 else None
     return ScanResult(checked(best_c, best_b, best_d), first,
-                      ScanStats(evaluated, odd_deltas, parity_checked, walked))
+                      ScanStats(evaluated, odd_deltas, walked))
 
 
 def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
@@ -460,29 +442,6 @@ def find_biased_barrier(g: BipartiteGraph, spec: DegreeSpec,
     if scan.biased.delta >= 0:
         raise FactorExistsError("graph has a (2,k)-factor")
     return scan.biased
-
-
-def h_of_z(g: BipartiteGraph, barrier: Barrier, z: Iterable[int]) -> int:
-    """For Z inside A-and-X of the given barrier: the number of
-    B-vertices adjacent to Z plus the number of odd components Z sends
-    an edge into."""
-    nx = g.x_count
-    zs = set(z)
-    a_x = {v for v in barrier.a if v < nx}
-    if not zs <= a_x:
-        raise ValueError("Z must be a subset of A intersected with X")
-    odd_masks = [mask_of(c.vertices) for c in barrier.components if c.odd]
-    return _h_count(_global_adjacency(g), zs, mask_of(barrier.b), odd_masks)
-
-
-def _h_count(adjg: list[int], zs: Iterable[int], b_mask: int,
-             odd_masks: list[int]) -> int:
-    """h(Z) over masks: the B-vertices adjacent to Z plus the odd
-    components (given as vertex masks) that Z sends an edge into."""
-    nz = 0
-    for x in zs:
-        nz |= adjg[x]
-    return (nz & b_mask).bit_count() + sum(1 for om in odd_masks if om & nz)
 
 
 def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
@@ -522,8 +481,13 @@ def check_barrier_structure(g: BipartiteGraph, biased: Barrier,
     clause_iv = ClauseCheck(True)
     for m in range(1, 1 << len(eligible)):
         zs = tuple(eligible[j] for j in bit_tuple(m))
-        # Eligible Z have no B-neighbour, so h(Z) is its odd-component count.
-        hz = _h_count(adjg, zs, b_mask, odd_masks)
+        # h(Z) counts the B-vertices adjacent to Z plus the odd components
+        # Z sends an edge into.  Eligible Z have no B-neighbour, so it is
+        # the odd-component count alone.
+        nz = 0
+        for x in zs:
+            nz |= adjg[x]
+        hz = sum(1 for om in odd_masks if om & nz)
         if hz < 2 * len(zs):
             clause_iv = ClauseCheck(False, f"Z = {zs} has h(Z) = {hz} < {2 * len(zs)}")
             break

@@ -207,6 +207,19 @@ def test_factor_refuses_big_with_isolated_x(capsys, tmp_path):
 # ---------------------------------------------------------------- verify
 
 
+def test_verify_bkf_checks_k(capsys, tmp_path):
+    # C4 has a Berge-2-factor; its certificate states k = 2.
+    hg = tmp_path / "c4.hg"
+    hg.write_text(serialize_hg(cycle(4)))
+    cert = tmp_path / "c4.bkf"
+    code, _, _ = run(capsys, "factor", str(hg), "-k", "2", "-o", str(cert))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "-k", "1", str(hg), str(cert))
+    assert (code, out) == (1, "reject: certificate is for k=2, not k=1\n")
+    code, out, _ = run(capsys, "verify", "-k", "2", str(hg), str(cert))
+    assert (code, out) == (0, "accept\n")
+
+
 def test_verify_rejects_bad_certificate(capsys, tmp_path, c5_hg):
     bad = tmp_path / "bad.bkf"
     bad.write_text("2 1\n0 0 1\n")
@@ -320,6 +333,8 @@ def test_theorem_random_porcelain(capsys):
     assert code == 0
     lines = out.splitlines()
     assert "total=40" in lines
+    assert "eligible=2" in lines
+    assert "factors=2" in lines
     assert "seed=9" in lines
 
 

@@ -93,6 +93,9 @@ def test_big_errors():
         parse_big("1 2\n0\n1\n")
     with pytest.raises(FormatError, match="ascending"):
         parse_big("1 3\n2 1\n")
+    for text in ("-1 3\n", "2 -1\n0\n1\n"):
+        with pytest.raises(FormatError, match="must be non-negative"):
+            parse_big(text)
 
 
 # ------------------------------------------------------------------- .bkf

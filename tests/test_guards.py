@@ -85,3 +85,13 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements vanish under python -O: {found}"
+
+
+def test_package_exports_resolve():
+    names = bergefactor.__all__
+    assert len(names) == len(set(names)), "duplicate names in __all__"
+    missing = [n for n in names if not hasattr(bergefactor, n)]
+    assert missing == [], f"__all__ names that do not resolve: {missing}"
+    namespace: dict = {}
+    exec("from bergefactor import *", namespace)
+    assert set(names) <= namespace.keys()

@@ -15,7 +15,6 @@ from bergefactor import (
     gen_random_hypergraph,
     possible_edges,
     tightness_search,
-    verify_berge_factor,
     verify_theorem,
 )
 from bergefactor.families import star
@@ -45,7 +44,7 @@ def test_gen_random_bipartite():
     g = gen_random_bipartite(4, 5, 0.4, seed=7)
     assert g == gen_random_bipartite(4, 5, 0.4, seed=7)
     assert g.x_count == 4 and g.y_count == 5
-    assert not g.has_isolated_x  # empty rows get a forced edge
+    assert all(g.neighbors)  # empty rows get a forced edge
 
 
 # --------------------------------------------------------------- censuses
@@ -116,6 +115,12 @@ def test_verify_theorem_random_mode():
     assert rep.total == 80
     assert rep.passed
     assert rep.seed == 5
+    # At k = 1 on n 3-6 that stream holds no eligible instance, so the
+    # theorem is also checked on one that does.
+    rep = verify_theorem((3, 5), 2, RandomMode(trials=40, seed=9))
+    assert rep.eligible > 0
+    assert rep.factors_found == rep.eligible
+    assert rep.passed
 
 
 def test_verify_theorem_budget_and_validation():

@@ -1,4 +1,4 @@
-"""Incidence bipartite view and Y-side strong deletion."""
+"""Incidence bipartite view and Y-toughness."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,8 @@ from bergefactor import (
     BipartiteGraph,
     BudgetExceededError,
     Hypergraph,
-    bipartite_components,
     hypergraph_of,
     incidence_graph,
-    strong_delete_y,
     toughness,
     y_toughness,
 )
@@ -36,12 +34,6 @@ def test_bipartite_graph_validation():
         BipartiteGraph(2, 2, [(0,)])  # row count mismatch
 
 
-def test_global_id_convention():
-    g = BipartiteGraph(3, 2, [(0,), (1,), (0, 1)])
-    assert [g.x_id(i) for i in range(3)] == [0, 1, 2]
-    assert [g.y_id(j) for j in range(2)] == [3, 4]
-
-
 def test_incidence_round_trip():
     h = Hypergraph(4, [(0, 1, 2), (1, 3), (1, 3)])
     g = incidence_graph(h)
@@ -54,32 +46,6 @@ def test_hypergraph_of_rejects_isolated_x():
     g = BipartiteGraph(2, 2, [(0, 1), ()])
     with pytest.raises(ValueError, match="isolated"):
         hypergraph_of(g)
-
-
-def test_strong_delete_y_drops_x_neighbors():
-    # star K_{1,3}: every edge meets the center, so deleting y0 kills all X
-    g = incidence_graph(star(3))
-    sd = strong_delete_y(g, [0])
-    assert sd.graph.x_count == 0
-    assert sd.graph.y_count == 3
-    assert sd.y_map == {1: 0, 2: 1, 3: 2}
-    assert sd.x_map == {}
-
-
-def test_strong_delete_y_keeps_untouched_x():
-    g = BipartiteGraph(2, 3, [(0, 1), (2,)])
-    sd = strong_delete_y(g, [0])
-    assert sd.graph.neighbors == ((1,),)
-    assert sd.x_map == {1: 0}
-    assert sd.y_map == {1: 0, 2: 1}
-    with pytest.raises(ValueError):
-        strong_delete_y(g, [3])
-
-
-def test_bipartite_components_ordering():
-    g = BipartiteGraph(3, 3, [(0,), (2,), (0,)])
-    comps = bipartite_components(g)
-    assert comps == [((0, 2), (0,)), ((1,), (2,)), ((), (1,))]
 
 
 def test_y_toughness_equals_hypergraph_toughness():

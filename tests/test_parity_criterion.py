@@ -10,12 +10,10 @@ from bergefactor import (
     DegreeSpec,
     FactorExistsError,
     check_barrier_structure,
-    classify_component,
     decide_by_criterion,
     deficiency_scan,
     delta,
     find_biased_barrier,
-    h_of_z,
     incidence_graph,
 )
 from bergefactor.families import cycle, star
@@ -114,22 +112,21 @@ def test_delta_star_barrier_value():
     rec = delta(g, [3], [], DegreeSpec(1))
     assert rec.delta == -2
     assert rec.hw == 3
-    assert rec.is_barrier
 
 
 def test_classify_component():
+    # Deleting the hub y0 (global 3) leaves three edge-leaf pairs, each
+    # with upper target k = 1 and no edge to B, so each is odd.
     g = incidence_graph(star(3))
-    spec = DegreeSpec(1)
-    assert classify_component(g, [3], [], spec, [0, 4]) == "odd"
-    with pytest.raises(ValueError, match="not a component"):
-        classify_component(g, [3], [], spec, [0, 5])
+    comps = delta(g, [3], [], DegreeSpec(1)).components
+    assert [(c.vertices, c.odd) for c in comps] == [
+        ((0, 4), True), ((1, 5), True), ((2, 6), True)]
 
 
 def test_classify_component_even():
     g = incidence_graph(cycle(4))  # 4 edges, 4 vertices, k = 2
-    spec = DegreeSpec(2)
-    comp = sorted(range(8))
-    assert classify_component(g, [], [], spec, comp) == "even"
+    comps = delta(g, [], [], DegreeSpec(2)).components
+    assert [(c.vertices, c.odd) for c in comps] == [(tuple(range(8)), False)]
 
 
 # ------------------------------------------------------------------ scan
@@ -152,7 +149,6 @@ def test_scan_matches_full_pair_space():
             if k * g.y_count % 2 == 0:
                 assert not saw_odd
                 assert got.stats.odd_deltas == 0
-                assert got.stats.parity_checked
 
 
 def test_scan_star_frozen_values():
@@ -392,29 +388,6 @@ def test_biased_pair_matches_oracle_on_small_census():
             assert (got.delta, (got.a, got.b)) == (want_min, want_pair), (g, k)
             tie_decided += ties > 1
     assert tie_decided > 0, tie_decided
-
-
-# ------------------------------------------------------------- h measure
-
-
-def test_h_of_z_synthetic():
-    # x0 ~ {y0, y1, y2}, x1 ~ {y4, y5} on 8 Y-vertices, k = 1,
-    # A = {x0}, B = {y0}: N(Z) = {y0, y1, y2} hits B once and two odd
-    # singleton components, so h(Z) = 3
-    g = BipartiteGraph(2, 8, [(0, 1, 2), (4, 5)])
-    spec = DegreeSpec(1)
-    br = delta(g, [0], [2], spec)
-    assert br.delta == -4
-    assert h_of_z(g, br, [0]) == 3
-
-
-def test_h_of_z_validates_z():
-    g = BipartiteGraph(2, 8, [(0, 1, 2), (4, 5)])
-    br = delta(g, [0], [2], DegreeSpec(1))
-    with pytest.raises(ValueError, match="subset of A"):
-        h_of_z(g, br, [1])  # x1 is not in A
-    with pytest.raises(ValueError, match="subset of A"):
-        h_of_z(g, br, [2])  # a Y-vertex
 
 
 # -------------------------------------------------------------- structure
