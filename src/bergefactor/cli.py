@@ -8,6 +8,7 @@ violation, a rejected certificate); 2 usage or input format error;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -72,8 +73,10 @@ def _cmd_criterion(args) -> int:
 def _cmd_barrier(args) -> int:
     g = load_bipartite(args.file)
     spec = DegreeSpec(args.k)
-    scan = deficiency_scan(g, spec, args.enum_budget)
-    br = scan.biased if args.biased or args.check_structure else scan.first
+    if args.biased or args.check_structure:
+        br = deficiency_scan(g, spec, args.enum_budget).biased
+    else:
+        br = decide_by_criterion(g, spec, args.enum_budget).barrier
     if br is None or br.delta >= 0:
         print(f"no barrier: a (2,{args.k})-factor exists")
         return 1
@@ -223,7 +226,11 @@ def _cmd_tightness(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later
+    call in the process: `parse_args` returns a fresh namespace each
+    time, and nothing changes the parser once it is built."""
     p = argparse.ArgumentParser(
         prog="bergefactor",
         description="Hypergraph toughness, parity-factor criterion and "
@@ -312,9 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

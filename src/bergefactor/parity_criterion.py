@@ -78,7 +78,8 @@ class ScanStats:
     Both count every pair the scan covers, 2^|X| * 3^|Y| with B inside
     Y, including the pairs of the U-sets whose Gray-code walk the scan's
     lower bound skips; `walked` counts only the pairs that walk actually
-    scored."""
+    scored, so it depends on what the caller asked for: a scan without
+    the biased pair skips more U-sets."""
 
     evaluated: int
     odd_deltas: int
@@ -96,10 +97,10 @@ class CriterionResult:
 class ScanResult:
     """Outcome of the full deficiency scan as checked `Barrier` records:
     `biased` is the biased-optimal pair, whose delta is the exact
-    minimum, and `first` the first barrier in base-3 order, None when no
-    pair has delta < 0."""
+    minimum, None when the scan was not asked for it, and `first` the
+    first barrier in base-3 order, None when no pair has delta < 0."""
 
-    biased: Barrier
+    biased: Barrier | None
     first: Barrier | None
     stats: ScanStats
 
@@ -185,12 +186,14 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
 
 
 def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
-                    budget: int | None = None) -> ScanResult:
+                    budget: int | None = None, *,
+                    biased: bool = True) -> ScanResult:
     """Exact minimum of the deficiency over all disjoint pairs, with the
     biased tie-break applied (min delta, then min |B|, then max |A|,
     then lexicographically least (B, A)), and the first barrier in
     base-3 counting order over assignment vectors (vertex 0 is the
-    fastest digit; 0 = untouched, 1 = A, 2 = B).
+    fastest digit; 0 = untouched, 1 = A, 2 = B).  With biased=False
+    only the first barrier is sought, and `ScanResult.biased` is None.
 
     Only pairs with B inside Y are enumerated: dropping an X-vertex from
     B to the untouched set never raises the deficiency (its lower target
@@ -213,19 +216,20 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
 
     Before that walk, a lower bound on every delta of the U (the
     constant part, less every component some pair of the U can make
-    odd, plus every negative B-candidate weight) is compared with the
-    best pair so far: a U whose bound is above the best delta (ties are
-    always walked), and that can hold no earlier barrier (bound >= 0, or
-    C's code, the least of the U, above the first barrier's), is not
-    walked.  Its pairs are still counted: all 2^|C & Y| in `evaluated`,
-    and the odd ones in `odd_deltas` by linearity over GF(2), from the
-    same per-U data the walk reads, so the counts equal the walk's.
+    odd, plus every negative B-candidate weight) decides whether the U
+    can matter: a U that can hold no earlier barrier (bound >= 0, or
+    C's code, the least of the U, above the first barrier's) is not
+    walked, unless the biased pair is asked for and the bound is at or
+    below the best delta so far (ties are always walked).  Its pairs
+    are still counted: all 2^|C & Y| in `evaluated`, and the odd ones
+    in `odd_deltas` by linearity over GF(2), from the same per-U data
+    the walk reads, so the counts equal the walk's.
     Hosts above the vertex budget b, or with more than
     2^ceil(b/2) * 3^floor(b/2) pairs, are refused before any scan state
     is built.
 
-    Both pairs are returned as `Barrier` records built by `delta`; a
-    re-evaluated delta that differs from the walk's raises
+    The pairs found are returned as `Barrier` records built by `delta`;
+    a re-evaluated delta that differs from the walk's raises
     RuntimeError."""
     nx, ny = g.x_count, g.y_count
     n_total = nx + ny
@@ -241,7 +245,9 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     walked = 0
     # Each selection is kept as the masks of C = A + B and of B.  The
     # biased one starts at the walk's first pair, A = V and B empty.
-    best_d = 2 * nx + k * ny
+    # Without it, best_d starts below every delta, so no pair is ranked
+    # and the skip test keeps only its first-barrier half.
+    best_d = 2 * nx + k * ny if biased else -2 * k * ny - n_total - 1
     best_nb, best_na = 0, n_total
     best_c, best_b = all_mask, 0
     pow3 = [3 ** v for v in range(n_total + 1)]
@@ -322,26 +328,25 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 if dlt < 0 and code < first_code:
                     first_code, first_d = code, dlt
                     first_c, first_b = c_mask, cur
-                na = c_size - nb
-                if (dlt < best_d
-                        or (dlt == best_d
-                            and (nb < best_nb
-                                 or (nb == best_nb and na > best_na)))):
-                    best_d, best_nb, best_na = dlt, nb, na
-                    best_c, best_b = c_mask, cur
-                elif dlt == best_d and nb == best_nb and na == best_na:
-                    # B-sets and A-sets have equal sizes here, and of two
-                    # such sets the one holding the least element of their
-                    # symmetric difference is the smaller sorted tuple.
-                    # With B equal, A ^ A' = C ^ C'.
-                    diff = cur ^ best_b
-                    if diff:
-                        win = cur & diff & -diff
-                    else:
-                        diff = c_mask ^ best_c
-                        win = c_mask & diff & -diff
-                    if win:
+                if dlt <= best_d:
+                    na = c_size - nb
+                    if (dlt < best_d or nb < best_nb
+                            or (nb == best_nb and na > best_na)):
+                        best_d, best_nb, best_na = dlt, nb, na
                         best_c, best_b = c_mask, cur
+                    elif nb == best_nb and na == best_na:
+                        # B-sets and A-sets have equal sizes here, and of
+                        # two such sets the one holding the least element
+                        # of their symmetric difference is the smaller
+                        # sorted tuple.  With B equal, A ^ A' = C ^ C'.
+                        diff = cur ^ best_b
+                        if diff:
+                            win = cur & diff & -diff
+                        else:
+                            diff = c_mask ^ best_c
+                            win = c_mask & diff & -diff
+                        if win:
+                            best_c, best_b = c_mask, cur
                 step += 1
                 if step == last:
                     break
@@ -418,8 +423,8 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         return rec
 
     first = checked(first_c, first_b, first_d) if first_d < 0 else None
-    return ScanResult(checked(best_c, best_b, best_d), first,
-                      ScanStats(evaluated, odd_deltas, walked))
+    return ScanResult(checked(best_c, best_b, best_d) if biased else None,
+                      first, ScanStats(evaluated, odd_deltas, walked))
 
 
 def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
@@ -428,8 +433,10 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     non-negative on every disjoint pair.  When barriers exist, the one
     returned is the first in base-3 counting order over assignment
     vectors (vertex 0 is the fastest digit; 0 = untouched, 1 = A,
-    2 = B): the scan's checked `first` record.  `stats` are the scan's."""
-    scan = deficiency_scan(g, spec, budget)
+    2 = B): the checked `first` record of a scan that does not seek the
+    biased pair.  `stats` are that scan's: `evaluated` and `odd_deltas`
+    equal a full scan's, `walked` is at most its."""
+    scan = deficiency_scan(g, spec, budget, biased=False)
     return CriterionResult(scan.first is None, scan.first, scan.stats)
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from bergefactor import BipartiteGraph, DegreeSpec, delta, incidence_graph
-from bergefactor.cli import cli
+from bergefactor.cli import build_parser, cli
 from bergefactor.families import complete_uniform, cycle, path, star
 from bergefactor.formats import serialize_bar, serialize_big, serialize_hg
 
@@ -422,6 +422,28 @@ def test_usage_error_exit_code(capsys):
     assert cli(["criterion"]) == 2  # missing required arguments
     assert cli(["no-such-command"]) == 2
     assert cli(["--help"]) == 0
+
+
+def test_calls_in_one_process_share_the_parser_not_its_state(
+        capsys, tmp_path, c5_hg):
+    assert build_parser() is build_parser()
+    # --biased on one call does not carry into the next.
+    big = tmp_path / "h55.big"
+    big.write_text(serialize_big(BipartiteGraph(
+        5, 5, [(0, 2, 3, 4), (0, 1, 2), (1,), (4,), (1, 3, 4)])))
+    code, out, _ = run(capsys, "barrier", str(big), "-k", "2", "--biased")
+    assert (code, out.split(" ")[0]) == (0, "-4")
+    code, out, _ = run(capsys, "barrier", str(big), "-k", "2")
+    assert (code, out.split(" ")[0]) == (0, "-2")
+    # Nor does -o.
+    cert = tmp_path / "c5.bkf"
+    code, out, _ = run(capsys, "factor", c5_hg, "-k", "2", "-o", str(cert))
+    assert (code, out) == (0, f"certificate written to {cert}\n")
+    code, out, _ = run(capsys, "factor", c5_hg, "-k", "2")
+    assert (code, out) == (0, cert.read_text())
+    # A usage error leaves the parser fit for the next call.
+    assert run(capsys, "factor", c5_hg)[0] == 2
+    assert run(capsys, "criterion", c5_hg, "-k", "2")[0] == 0
 
 
 def test_console_entry_point(tmp_path):

@@ -185,17 +185,21 @@ def test_scan_counts_skipped_pairs_exactly():
     """The lower bound skips the walk over B for some U-sets, but every
     pair still counts: `evaluated` is 2^|X| * 3^|Y|, and `odd_deltas`
     is the number of odd deltas over all pairs with B inside Y, which
-    is all of them when k * |Y| is odd and none when it is even."""
+    is all of them when k * |Y| is odd and none when it is even.  The
+    same holds for `decide_by_criterion`, whose scan seeks only the
+    first barrier and so skips more U-sets."""
     from bergefactor.harness import enumerate_bipartite_graphs
 
-    skipped = skipped_odd = 0
+    skipped = skipped_odd = fewer = 0
     for g in enumerate_bipartite_graphs(5):
         nx, ny = g.x_count, g.y_count
         n = nx + ny
         for k in (1, 2, 3):
             res = deficiency_scan(g, DegreeSpec(k))
+            dec = decide_by_criterion(g, DegreeSpec(k))
             pairs = 2 ** nx * 3 ** ny
             assert res.stats.evaluated == pairs, (g, k)
+            assert dec.stats.evaluated == pairs, (g, k)
             odd = 0
             for code in range(3 ** n):
                 digits = [code // 3 ** v % 3 for v in range(n)]
@@ -205,12 +209,22 @@ def test_scan_counts_skipped_pairs_exactly():
                 b = [v for v in range(n) if digits[v] == 2]
                 odd += oracles.delta_naive(nx, ny, g.neighbors, k, a, b)[0] & 1
             assert res.stats.odd_deltas == odd, (g, k)
+            assert dec.stats.odd_deltas == odd, (g, k)
             assert odd == (pairs if k * ny % 2 else 0), (g, k)
+            if res.first is None:
+                assert dec.barrier is None, (g, k)
+            else:
+                assert (dec.barrier.a, dec.barrier.b, dec.barrier.delta) == (
+                    res.first.a, res.first.b, res.first.delta), (g, k)
+            assert dec.stats.walked <= res.stats.walked, (g, k)
+            fewer += dec.stats.walked < res.stats.walked
             if res.stats.walked < pairs:
                 skipped += 1
                 skipped_odd += k * ny % 2
-    # Both parities of k * |Y| must reach the skipped-U counts.
+    # Both parities of k * |Y| must reach the skipped-U counts, and the
+    # first-barrier scan must skip U-sets the full scan walks.
     assert skipped > 300 and skipped_odd > 100
+    assert fewer > 200
 
 
 def test_scan_walk_skips_pairs_that_cannot_win():
@@ -233,6 +247,11 @@ def test_scan_walk_skips_pairs_that_cannot_win():
     assert res.stats.evaluated == 7776
     assert res.stats.odd_deltas == 0
     assert res.stats.walked == 744 < 7776
+    # Seeking only the first barrier, the walk skips every U that cannot
+    # hold an earlier one, whatever its bound.
+    dec = decide_by_criterion(g, DegreeSpec(2))
+    assert (dec.barrier.a, dec.barrier.b) == (res.first.a, res.first.b)
+    assert dec.stats.walked == 240 < 744
 
 
 def test_scan_minimum_is_gadget_deficiency_k3():
@@ -330,9 +349,12 @@ def test_decide_star_first_barrier():
     assert not res.exists
     assert (res.barrier.a, res.barrier.b) == ((3,), ())
     assert res.barrier.delta == -2
-    # one enumeration: decide evaluates exactly the scan's 2^3 * 3^4 pairs
-    assert res.stats.evaluated == 648
-    assert res.stats == deficiency_scan(g, DegreeSpec(1)).stats
+    # one enumeration: decide evaluates exactly the scan's 2^3 * 3^4 pairs,
+    # and walks fewer of them, as it does not seek the biased pair
+    full = deficiency_scan(g, DegreeSpec(1)).stats
+    assert res.stats.evaluated == full.evaluated == 648
+    assert res.stats.odd_deltas == full.odd_deltas
+    assert res.stats.walked == 56 < full.walked == 128
 
 
 # ---------------------------------------------------------------- biased
