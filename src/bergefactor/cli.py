@@ -114,13 +114,14 @@ def _cmd_factor(args) -> int:
     except BudgetExceededError:
         # Past the scan budget, a Y-vertex y of degree d < k still gives
         # the barrier (A, B) = ({}, {y}): its delta is at most d - k.
-        sparse = sparse_y_vertex(g, spec)
-        if sparse is None:
+        y = sparse_y_vertex(g, spec)
+        if y is None:
             raise
-        br = delta(g, (), (g.x_count + sparse.y,), spec)
+        br = delta(g, (), (g.x_count + y,), spec)
         if br.delta >= 0:
-            raise RuntimeError(f"Y-vertex {sparse.y} of degree "
-                               f"{sparse.degree} < k gave delta {br.delta}")
+            raise RuntimeError(
+                f"Y-vertex {y} of degree {len(g.y_neighbors[y])} < k "
+                f"gave delta {br.delta}")
     print(f"no Berge-{args.k}-factor: barrier delta={br.delta}")
     sys.stdout.write(serialize_bar(br))
     return 1

@@ -14,8 +14,10 @@ arises this way.  An X-vertex of degree 1 cannot fill its pair and takes
 degree 0.
 
 The gadget has 2|E| + 2|X| + k|Y| vertices and (k+3)|E| + |X| edges for
-|E| incidences.  A Y-vertex of host degree < k makes the instance
-infeasible outright (`sparse_y_vertex`).
+|E| incidences, for every host: a Y-vertex of host degree < k leaves
+copies exposed, so its gadget has no perfect matching.  `find_2k_factor`
+checks for such a vertex first (`sparse_y_vertex`) and answers None
+without building the gadget.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ from .incidence import BipartiteGraph, incidence_graph
 # matching, but bench/tracing.py wraps it under this module's name.
 from .matching import GeneralGraph, max_matching, perfect_matching  # noqa: F401
 from .parity_criterion import DegreeSpec
-
-@dataclass(frozen=True)
-class Infeasible:
-    """A Y-vertex whose host degree is below k; no factor can exist."""
-
-    y: int
-    degree: int
-    k: int
-
 
 @dataclass(frozen=True)
 class GadgetGraph:
@@ -63,26 +56,23 @@ class FactorSubgraph:
         return cls(k, tuple(sorted(tuple(e) for e in edges)))
 
 
-def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> Infeasible | None:
-    """The first Y-vertex (by index) whose host degree is below k, or
-    None when there is none."""
+def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
+    """The Y-local index of the first Y-vertex whose host degree is
+    below k, so that no factor can exist, or None when there is none."""
     for j, xs in enumerate(g.y_neighbors):
         if len(xs) < spec.k:
-            return Infeasible(j, len(xs), spec.k)
+            return j
     return None
 
 
-def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph | Infeasible:
-    """Expand the host graph into the split-incidence gadget, or report
-    the first Y-vertex (by index) that is infeasibly sparse.  Vertex ids
+def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
+    """Expand the host graph into the split-incidence gadget; a Y-vertex
+    of degree below k is built too and leaves copies exposed.  Vertex ids
     follow host-vertex order: an X-vertex owns its incidence ends in
     neighbor order, then its pair; a Y-vertex owns its ends in X order,
     then its k copies.  Every id is computed up front or on the fly, so
     one pass over the host vertices emits the edges already in ascending
     (smaller, larger) order."""
-    sparse = sparse_y_vertex(g, spec)
-    if sparse is not None:
-        return sparse
     nx = g.x_count
     k = spec.k
     # First free Y-end of each Y-block, advanced as X-vertices claim them.
@@ -116,16 +106,19 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    trace: Callable[[str], None] | None = None
                    ) -> FactorSubgraph | None:
     """Search for a (2,k)-factor of the host graph; None when there is
-    none.  The factor is read off a perfect matching of the gadget, so
-    the matcher stops at its first failed search: that already shows
-    there is no factor.  A factor is checked by `verify_2k_factor`
-    before it is returned.  `trace` receives progress lines."""
-    gadget = build_gadget(g, spec)
-    if isinstance(gadget, Infeasible):
+    none.  A Y-vertex of degree below k answers None before the gadget
+    is built.  Otherwise the factor is read off a perfect matching of
+    the gadget, so the matcher stops at its first failed search: that
+    already shows there is no factor.  A factor is checked by
+    `verify_2k_factor` before it is returned.  `trace` receives progress
+    lines."""
+    y = sparse_y_vertex(g, spec)
+    if y is not None:
         if trace:
-            trace(f"gadget: Y-vertex {gadget.y} has degree "
-                  f"{gadget.degree} < k = {gadget.k}, no factor")
+            trace(f"gadget: Y-vertex {y} has degree "
+                  f"{len(g.y_neighbors[y])} < k = {spec.k}, no factor")
         return None
+    gadget = build_gadget(g, spec)
     gg = gadget.graph
     if trace:
         trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "

@@ -260,8 +260,8 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
             low = s_mask & -s_mask
             ripple = s_mask + low
             s_mask = (((ripple ^ s_mask) >> 2) // low) | ripple
-    if bd == 0:
-        return ToughnessValue(None, None)
+    # Some pair {u, v} is no 2-edge, so S = V - {u, v} leaves 2
+    # components and the scan always finds a cutset.
     return ToughnessValue(Fraction(bn, bd), bit_tuple(best_mask))
 
 

@@ -9,14 +9,17 @@ from bergefactor import (
     DegreeSpec,
     FactorSubgraph,
     Hypergraph,
-    Infeasible,
     build_gadget,
     decide_by_criterion,
     deficiency_scan,
+    enumerate_bipartite_graphs,
     find_2k_factor,
     find_berge_k_factor,
     incidence_graph,
     lift_to_berge,
+    max_matching,
+    perfect_matching,
+    sparse_y_vertex,
     verify_2k_factor,
     verify_berge_factor,
 )
@@ -42,14 +45,10 @@ def test_gadget_sizes():
     # split-incidence layout: an X-vertex owns its d_x incidence ends and
     # a pair, a Y-vertex its d_y ends and k copies
     rng = random.Random(47)
-    checked = 0
-    while checked < 30:
+    for _ in range(30):
         g = _random_bipartite(rng)
         k = rng.choice((1, 2, 3))
         gg = build_gadget(g, DegreeSpec(k))
-        if isinstance(gg, Infeasible):
-            continue
-        checked += 1
         nx, ny = g.x_count, g.y_count
         owned = [0] * (nx + ny)
         for host in gg.owner:
@@ -101,10 +100,29 @@ def test_degree_one_x_takes_degree_zero():
 
 
 def test_gadget_infeasible_low_degree():
+    # the gadget is built past a sparse Y-vertex, whose copies stay exposed
     g = BipartiteGraph(1, 2, [(0,)])  # y1 has degree 0 < k
-    out = build_gadget(g, DegreeSpec(1))
-    assert isinstance(out, Infeasible)
-    assert out.y == 1 and out.degree == 0 and out.k == 1
+    spec = DegreeSpec(1)
+    assert sparse_y_vertex(g, spec) == 1
+    gg = build_gadget(g, spec)
+    assert gg.graph.n == 2 * 1 + 2 * 1 + 1 * 2
+    assert perfect_matching(gg.graph) is None
+
+
+def test_gadget_deficiency_past_sparse_y_vertex():
+    # Tutte-Berge holds on sparse hosts too: the package gadget's
+    # deficiency |V| - 2 nu equals the independent builder's
+    pairs = 0
+    for g in enumerate_bipartite_graphs(6):
+        for k in (1, 2, 3):
+            spec = DegreeSpec(k)
+            if sparse_y_vertex(g, spec) is None:
+                continue
+            gg = build_gadget(g, spec).graph
+            got = gg.n - 2 * len(max_matching(gg))
+            assert got == oracles.gadget_deficiency(g, k), (g, k)
+            pairs += 1
+    assert pairs == 1726
 
 
 def test_gadget_isolated_x_allowed():
@@ -197,7 +215,7 @@ def test_trace_lines():
     lines.clear()
     find_2k_factor(BipartiteGraph(1, 1, [()]), DegreeSpec(1),
                    trace=lines.append)
-    assert any("degree 0 < k" in ln for ln in lines)
+    assert lines == ["gadget: Y-vertex 0 has degree 0 < k = 1, no factor"]
 
 
 # ---------------------------------------------------------------- verify

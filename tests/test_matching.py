@@ -5,10 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Infeasible,
-                         Matching, build_gadget, find_2k_factor,
-                         incidence_graph, is_perfect, matching, max_matching,
-                         perfect_matching)
+from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Matching,
+                         build_gadget, find_2k_factor, incidence_graph,
+                         is_perfect, matching, max_matching, perfect_matching)
 from bergefactor.families import complete_bipartite, complete_graph, star
 
 import oracles
@@ -111,16 +110,12 @@ def test_same_matching_as_reference_random():
 
 def test_same_matching_as_reference_on_gadgets():
     rng = random.Random(29)
-    tried = 0
-    while tried < 60:
+    for _ in range(60):
         nx, ny = rng.randint(2, 20), rng.randint(1, 12)
         rows = [tuple(sorted(rng.sample(range(ny), rng.randint(0, ny))))
                 for _ in range(nx)]
         gadget = build_gadget(BipartiteGraph(nx, ny, rows),
                               DegreeSpec(rng.choice((1, 2, 3))))
-        if isinstance(gadget, Infeasible):
-            continue
-        tried += 1
         g = gadget.graph
         m = max_matching(g)
         assert m.edges == oracles.max_matching_reference(g)

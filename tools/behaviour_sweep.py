@@ -2,15 +2,15 @@
 
 Writes a fixed corpus of small inputs into a temporary directory, runs
 `toughness`, `y-toughness`, `criterion`, `barrier` (plain, `--biased`,
-`--check-structure`) and `factor` on each at k = 1..3, then `verify` on
-every `.bar` and `.bkf` certificate those runs print.  The `tough*.hg`
-files, random hypergraphs with 11 to 14 vertices, go through `toughness`
-and `y-toughness` only: they cover the sizes at which the toughness scan
-prunes most.  Last come the two commands that draw from the package's
-random hypergraph generator: `theorem --porcelain` exhaustively with
-n <= 4 at k = 1, 2 and once in random mode, and one small
-`tightness --porcelain` run whose stream goes past its graph census.
-Each run prints one line
+`--check-structure`), `factor` and `factor --trace` on each at k = 1..3,
+then `verify` on every `.bar` and `.bkf` certificate those runs print.
+The `tough*.hg` files, random hypergraphs with 11 to 14 vertices, go
+through `toughness` and `y-toughness` only: they cover the sizes at
+which the toughness scan prunes most.  Last come the two commands that
+draw from the package's random hypergraph generator: `theorem
+--porcelain` exhaustively with n <= 4 at k = 1, 2 and once in random
+mode, and one small `tightness --porcelain` run whose stream goes past
+its graph census.  Each run prints one line
 
     argv  exit  sha256(stdout)  sha256(stderr)
 
@@ -165,6 +165,7 @@ def sweep() -> None:
             elif code == 1:
                 certs.append((name, f"{stem}.factor.k{k}.bar",
                               k, out.split("\n", 1)[1]))
+            run(["factor", name, "-k", str(k), "--trace"])
     for name, cert, k, text in certs:
         Path(cert).write_text(text)
         if cert.endswith(".bar"):
