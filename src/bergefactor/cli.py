@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from .budget import BudgetExceededError
-# find_2k_factor is not called here since `factor` reads a .big as a
-# hypergraph, but bench/tracing.py wraps it under this module's name.
+# find_berge_k_factor is not called here since `factor` builds the
+# incidence graph once for the search and the barrier fallback, but
+# bench/tracing.py wraps it under this module's name.
 from .factor_solver import (find_2k_factor, find_berge_k_factor,  # noqa: F401
-                            sparse_y_vertex)
+                            lift_to_berge, sparse_y_vertex)
 from .formats import (load_barrier, load_bipartite, load_certificate,
                       load_hypergraph, serialize_bar, serialize_big,
                       serialize_bkf)
@@ -98,17 +99,17 @@ def _cmd_barrier(args) -> int:
 def _cmd_factor(args) -> int:
     trace = print if args.trace else None
     h = load_hypergraph(args.file)
-    cert = find_berge_k_factor(h, args.k, trace=trace)
-    if cert is not None:
-        text = serialize_bkf(cert)
+    spec = DegreeSpec(args.k)
+    g = incidence_graph(h)
+    factor = find_2k_factor(g, spec, trace=trace)
+    if factor is not None:
+        text = serialize_bkf(lift_to_berge(h, factor))
         if args.output:
             Path(args.output).write_text(text)
             print(f"certificate written to {args.output}")
         else:
             sys.stdout.write(text)
         return 0
-    g = incidence_graph(h)
-    spec = DegreeSpec(args.k)
     try:
         br = find_biased_barrier(g, spec, args.enum_budget)
     except BudgetExceededError:

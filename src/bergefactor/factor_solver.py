@@ -18,6 +18,17 @@ The gadget has 2|E| + 2|X| + k|Y| vertices and (k+3)|E| + |X| edges for
 copies exposed, so its gadget has no perfect matching.  `find_2k_factor`
 checks for such a vertex first (`sparse_y_vertex`) and answers None
 without building the gadget.
+
+`build_gadget` computes every vertex id up front, so its one pass over
+the host writes the gadget's sorted adjacency directly, with a warm
+start for the matcher: a greedy selection in which each X-vertex, in id
+order, takes the two Y-neighbours with the most remaining need (k at
+first), or none when fewer than two still need one.  Encoded as a
+matching, a selected incidence's e_x is matched into its pair, every
+other e_x to its e_y, and the pair of an X-vertex that takes none to
+itself.  The matcher's greedy pass then gives each free e_y a copy, and
+only the copies that remain exposed, one per unit of need the selection
+left, start a search.
 """
 
 from __future__ import annotations
@@ -35,12 +46,14 @@ from .parity_criterion import DegreeSpec
 @dataclass(frozen=True)
 class GadgetGraph:
     """The matching gadget; `owner` gives the host vertex (global id) of
-    each gadget vertex, and `inter_edges` maps each host edge (x, nx + y)
-    to its incidence edge (e_x, e_y) in the gadget."""
+    each gadget vertex, `inter_edges` maps each host edge (x, nx + y)
+    to its incidence edge (e_x, e_y) in the gadget, and `start` is the
+    warm-start matching as a mate array (-1 for an exposed vertex)."""
 
     graph: GeneralGraph
     owner: tuple[int, ...]
     inter_edges: dict[tuple[int, int], tuple[int, int]]
+    start: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -70,36 +83,67 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
     of degree below k is built too and leaves copies exposed.  Vertex ids
     follow host-vertex order: an X-vertex owns its incidence ends in
     neighbor order, then its pair; a Y-vertex owns its ends in X order,
-    then its k copies.  Every id is computed up front or on the fly, so
-    one pass over the host vertices emits the edges already in ascending
-    (smaller, larger) order."""
+    then its k copies.  Every id is computed up front, so one pass over
+    the host vertices writes each vertex's ascending neighbour tuple and
+    the warm start (see the module docstring)."""
     nx = g.x_count
     k = spec.k
-    # First free Y-end of each Y-block, advanced as X-vertices claim them.
+    # First free Y-end of each Y-block, advanced as X-vertices claim
+    # them, and the copies of each Y-vertex.
     y_next: list[int] = []
+    copies: list[tuple[int, ...]] = []
     v = sum(len(ys) for ys in g.neighbors) + 2 * nx
     for xs in g.y_neighbors:
         y_next.append(v)
         v += len(xs) + k
+        copies.append(tuple(range(v - k, v)))
+    adj: list[tuple[int, ...]] = [()] * v
+    start = [-1] * v
+    need = [k] * g.y_count
     owner: list[int] = []
-    edges: list[tuple[int, int]] = []
     inter: dict[tuple[int, int], tuple[int, int]] = {}
     for x, ys in enumerate(g.neighbors):
         e = len(owner)
         pair = e + len(ys)
         owner += [x] * (len(ys) + 2)
-        for y in ys:
-            inter[x, nx + y] = (e, y_next[y])
-            edges += ((e, pair), (e, pair + 1), (e, y_next[y]))
+        # The two neighbours with the most need, ties to the lower index.
+        first = second = -1
+        for i, y in enumerate(ys):
+            r = need[y]
+            if r > 0:
+                if first < 0 or r > need[ys[first]]:
+                    first, second = i, first
+                elif second < 0 or r > need[ys[second]]:
+                    second = i
+        taken = (min(first, second), max(first, second)) if second >= 0 else ()
+        for i, y in enumerate(ys):
+            ey = y_next[y]
             y_next[y] += 1
-            e += 1
-        edges.append((pair, pair + 1))
+            inter[x, nx + y] = (e + i, ey)
+            adj[e + i] = (pair, pair + 1, ey)
+            adj[ey] = (e + i,) + copies[y]
+            if i not in taken:
+                start[e + i] = ey
+                start[ey] = e + i
+        ends = tuple(range(e, pair))
+        adj[pair] = ends + (pair + 1,)
+        adj[pair + 1] = ends + (pair,)
+        if taken:
+            for c, i in enumerate(taken):
+                start[e + i] = pair + c
+                start[pair + c] = e + i
+                need[ys[i]] -= 1
+        else:
+            start[pair] = pair + 1
+            start[pair + 1] = pair
     for j, xs in enumerate(g.y_neighbors):
         e = len(owner)
-        copies = range(e + len(xs), e + len(xs) + k)
         owner += [nx + j] * (len(xs) + k)
-        edges += ((end, c) for end in range(e, copies.start) for c in copies)
-    return GadgetGraph(GeneralGraph(len(owner), edges), tuple(owner), inter)
+        ends = tuple(range(e, e + len(xs)))
+        for c in copies[j]:
+            adj[c] = ends
+    return GadgetGraph(GeneralGraph.from_adjacency(tuple(adj)), tuple(owner),
+                       inter, tuple(start))
 
 
 def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
@@ -123,7 +167,7 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     if trace:
         trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
               f"({len(gadget.inter_edges)} incidence edges)")
-    matching = perfect_matching(gg)
+    matching = perfect_matching(gg, gadget.start)
     if matching is None:
         if trace:
             trace("matching: stopped at an exposed vertex with no "

@@ -1,68 +1,82 @@
 """Maximum matching in general graphs via blossom contraction.
 
-Unweighted Edmonds matching: a deterministic greedy seed over the
-canonical edge list, then one BFS search per vertex still exposed when
-its turn comes, in id order, contracting odd cycles by rebasing them
-onto their stem (the `base` array).  A contraction relabels only the
-vertices of the blossoms it merges, found through a member list kept
-per blossom base, and queues the newly outer ones in ascending id
-order.  A search costs O(E) for the scan plus, per contraction, the
-blossom's size and the two tree paths walked to its base, so O(V * E)
-in the worst case; the `p`, `base` and `used` arrays are allocated once
-per matching and each search resets only the entries it touched.  Scan
-order is fixed by the sorted adjacency lists, so equal inputs always
-produce equal matchings.
+Unweighted Edmonds matching: a deterministic greedy pass over the
+sorted adjacency (u ascending, each neighbour w > u, which is the order
+of the canonical edge list), then one BFS search per vertex still
+exposed when its turn comes, in id order, contracting odd cycles by
+rebasing them onto their stem (the `base` array).  The greedy pass
+extends whatever matching the caller starts from: `max_matching` starts
+from none, `perfect_matching` may be given a warm start.  A contraction
+relabels only the vertices of the blossoms it merges, found through a
+member list kept per blossom base, and queues the newly outer ones in
+ascending id order.  A search costs O(E) for the scan plus, per
+contraction, the blossom's size and the two tree paths walked to its
+base, so O(V * E) in the worst case; the `p`, `base` and `used` arrays
+are allocated once per matching and each search resets only the entries
+it touched.  Scan order is fixed by the sorted adjacency lists, so equal
+inputs always produce equal matchings.
 
 A failed search settles that the graph has no perfect matching
 (Berge): if a perfect matching M* existed, the component of the
 symmetric difference of M and M* at the still-exposed root would be an
-augmenting path from it.  `perfect_matching` stops at that first
-failure.  `max_matching` runs every search; its result is maximum
-because a root with no augmenting path gains none after later
-augmentations.
+augmenting path from it, whatever matching M the searches started
+from.  `perfect_matching` stops at that first failure.  `max_matching`
+runs every search; its result is maximum because a root with no
+augmenting path gains none after later augmentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GeneralGraph:
-    """Simple undirected graph on 0..n-1; loops rejected, parallel edges
-    collapse.  Edges are canonicalised to (smaller, larger) in an
-    insertion-ordered dict, so an edge list that is already canonical
-    and sorted keeps its order and sorts in one linear pass."""
+    """Simple undirected graph on 0..n-1, stored as its adjacency: one
+    ascending tuple of neighbours per vertex.  `GeneralGraph(n, edges)`
+    rejects loops and out-of-range ends and collapses parallel edges;
+    `from_adjacency` wraps an adjacency its builder already made
+    canonical.  `edges` is the canonical (smaller, larger) edge list in
+    ascending order, derived on first use."""
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon: dict[tuple[int, int], None] = {}
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            canon[(u, v) if u < v else (v, u)] = None
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+
+    @classmethod
+    def from_adjacency(cls, adjacency: tuple[tuple[int, ...], ...]
+                       ) -> "GeneralGraph":
+        """Wrap `adjacency` unchecked.  The caller guarantees what
+        `__init__` would establish: each tuple ascending, no loop, every
+        neighbour in range, and w in adjacency[u] exactly when u is in
+        adjacency[w]."""
+        g = cls.__new__(cls)
+        g.n = len(adjacency)
+        g.adjacency = adjacency
+        return g
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        # `edges` is canonical and sorted, so each list is already ascending.
-        return tuple(tuple(a) for a in adj)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, w) for u, a in enumerate(self.adjacency)
+                     for w in a if w > u)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GeneralGraph)
-                and self.n == other.n and self.edges == other.edges)
+                and self.adjacency == other.adjacency)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adjacency)
 
     def __repr__(self) -> str:
         return f"GeneralGraph({self.n}, {list(self.edges)})"
@@ -194,16 +208,19 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
 
 
 def _searches(g: GeneralGraph, match: list[int]) -> Iterator[bool]:
-    """Fill `match`, all -1 on entry, with the greedy seed over the
-    canonical edge list, then run one search per exposed root in id
-    order, yielding whether it augmented.  A caller that stops reading
-    runs no further search."""
+    """Extend the matching in `match` (-1 marks an exposed vertex) with
+    the greedy pass over the sorted adjacency, then run one search per
+    exposed root in id order, yielding whether it augmented.  A caller
+    that stops reading runs no further search."""
     n = g.n
     adj = g.adjacency
-    for u, v in g.edges:
-        if match[u] == -1 and match[v] == -1:
-            match[u] = v
-            match[v] = u
+    for u in range(n):
+        if match[u] == -1:
+            for w in adj[u]:
+                if w > u and match[w] == -1:
+                    match[u] = w
+                    match[w] = u
+                    break
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -226,10 +243,28 @@ def max_matching(g: GeneralGraph) -> Matching:
     return _matching_of(match)
 
 
-def perfect_matching(g: GeneralGraph) -> Matching | None:
-    """`max_matching(g)` when it is perfect, else None.  The searches
-    stop at the first exposed root with no augmenting path (Berge), so a
-    graph without a perfect matching costs one failed search, not one
-    per exposed root."""
-    match = [-1] * g.n
+def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
+                     ) -> Matching | None:
+    """A perfect matching of `g`, or None when it has none.  The greedy
+    pass and the searches extend `start`, a mate array (start[v] is v's
+    mate, -1 when v is exposed) of edges of `g`, or the empty matching
+    when it is None; so the result depends on `start`, and without one
+    it is `max_matching(g)`.  The searches stop at the first exposed
+    root with no augmenting path (Berge), so a graph without a perfect
+    matching costs one failed search, not one per exposed root.  A
+    `start` that is not a matching of `g` raises ValueError."""
+    n = g.n
+    if start is None:
+        match = [-1] * n
+    else:
+        match = list(start)
+        if len(match) != n:
+            raise ValueError(f"start has {len(match)} entries, "
+                             f"the graph {n} vertices")
+        adj = g.adjacency
+        for v, w in enumerate(match):
+            if w != -1 and not (0 <= w < n and match[w] == v
+                                and w in adj[v]):
+                raise ValueError(f"start pairs vertex {v} with {w}, "
+                                 "which is not a matching edge")
     return _matching_of(match) if all(_searches(g, match)) else None

@@ -8,6 +8,7 @@ from bergefactor import (
     BipartiteGraph,
     DegreeSpec,
     FactorSubgraph,
+    GeneralGraph,
     Hypergraph,
     build_gadget,
     decide_by_criterion,
@@ -123,6 +124,46 @@ def test_gadget_deficiency_past_sparse_y_vertex():
             assert got == oracles.gadget_deficiency(g, k), (g, k)
             pairs += 1
     assert pairs == 1726
+
+
+def _gadget_census():
+    # every host of the |X| + |Y| <= 6 census, sparse ones included, and
+    # 200 seeded random hosts, at k = 1..3
+    for g in enumerate_bipartite_graphs(6):
+        for k in (1, 2, 3):
+            yield g, DegreeSpec(k)
+    rng = random.Random(53)
+    for _ in range(200):
+        yield _random_bipartite(rng, 8, 6), DegreeSpec(rng.choice((1, 2, 3)))
+
+
+def test_gadget_adjacency_matches_validated_graph():
+    # the builder's trusted adjacency is what GeneralGraph(n, edges)
+    # validates, dedups and sorts the same edge list into
+    for g, spec in _gadget_census():
+        gg = build_gadget(g, spec).graph
+        checked = GeneralGraph(gg.n, gg.edges)
+        assert checked.edges == gg.edges, (g, spec)
+        assert checked.adjacency == gg.adjacency, (g, spec)
+
+
+def test_warm_start_is_a_matching_within_need():
+    # the warm start pairs only gadget edges, gives no Y-vertex more than
+    # k incidences, and never changes whether a perfect matching exists
+    for g, spec in _gadget_census():
+        gadget = build_gadget(g, spec)
+        gg, start = gadget.graph, gadget.start
+        edges = set(gg.edges)
+        for v, w in enumerate(start):
+            assert w == -1 or (min(v, w), max(v, w)) in edges, (g, spec, v)
+        # an incidence is taken when its e_x is matched into x's pair
+        taken = [0] * g.y_count
+        for (x, y), (ex, _) in gadget.inter_edges.items():
+            if start[ex] != -1 and gadget.owner[start[ex]] == x:
+                taken[y - g.x_count] += 1
+        assert max(taken, default=0) <= spec.k, (g, spec)
+        warm = perfect_matching(gg, start)
+        assert (warm is None) == (perfect_matching(gg) is None), (g, spec)
 
 
 def test_gadget_isolated_x_allowed():

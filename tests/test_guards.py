@@ -43,6 +43,25 @@ def test_solver_rejects_unverified_factor_under_O():
                           "factor: rejected on purpose"), out
 
 
+_BAD_START = """
+from bergefactor import GeneralGraph, perfect_matching
+
+assert False, "this child must run with -O"
+g = GeneralGraph(4, [(0, 1), (1, 2), (2, 3)])
+try:
+    perfect_matching(g, [1, -1, -1, -1])
+except ValueError as e:
+    print("raised:", e)
+else:
+    print("accepted a start that is not an involution")
+"""
+
+
+def test_matcher_rejects_non_involutive_start_under_O():
+    out = _run_under_O(_BAD_START)
+    assert out.startswith("raised: start pairs vertex 0 with 1"), out
+
+
 _WRONG_DELTA = """
 import dataclasses
 

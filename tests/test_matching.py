@@ -96,6 +96,18 @@ def test_random_up_to_ten_vertices():
         assert perfect_matching(g) == (m if 2 * len(m) == n else None)
 
 
+def test_perfect_matching_rejects_a_start_that_is_no_matching():
+    g = GeneralGraph(4, [(0, 1), (1, 2), (2, 3)])
+    assert perfect_matching(g, [1, 0, -1, -1]).edges == ((0, 1), (2, 3))
+    for start in ([1, -1, -1, -1],  # not an involution
+                  [2, -1, 0, -1],  # 0-2 is no edge
+                  [0, -1, -1, -1],  # a loop
+                  [1, 0, 4, -1],  # mate out of range
+                  [1, 0, -1]):  # wrong length
+        with pytest.raises(ValueError):
+            perfect_matching(g, start)
+
+
 def test_same_matching_as_reference_random():
     # mixed densities on up to 40 vertices, so that blossoms nest; the
     # exact edges are compared, not just the size
@@ -125,7 +137,11 @@ def test_same_matching_as_reference_on_gadgets():
 @pytest.mark.parametrize("h, k, want", [
     (star(4), 1, [False]),  # max_matching runs 3 searches, all failing
     (complete_bipartite(2, 4), 2, [False]),  # 4, all failing
-    (complete_graph(4), 1, [True] * 4),  # a factor: every search augments
+    # the warm start leaves two roots; both augment, and there is a factor
+    (complete_graph(6), 3, [True, True]),
+    # the warm start leaves two roots; the first augments, the second
+    # fails, and that failure already rules the factor out
+    (complete_graph(5), 3, [True, False]),
 ])
 def test_factor_search_stops_at_first_failed_root(monkeypatch, h, k, want):
     calls = []
