@@ -149,8 +149,9 @@ def _cmd_verify(args) -> int:
             return 2
         g = load_bipartite(args.file)
         br = load_barrier(cert_path)
+        spec = DegreeSpec(args.k)
         try:
-            rec = delta(g, br.a, br.b, DegreeSpec(args.k))
+            rec = delta(g, br.a, br.b, spec)
         except ValueError as e:
             print(f"reject: {e}")
             return 1

@@ -76,10 +76,12 @@ class ScanStats:
     """Bookkeeping from an enumeration: pairs evaluated, and how many of
     the evaluated deltas were odd (must be zero whenever k|Y| is even).
     Both count every pair the scan covers, 2^|X| * 3^|Y| with B inside
-    Y, including the pairs of the U-sets whose Gray-code walk the scan's
-    lower bound skips; `walked` counts only the pairs that walk actually
-    scored, so it depends on what the caller asked for: a scan without
-    the biased pair skips more U-sets."""
+    Y; `walked` counts the pairs the scan's Gray-code walk scored, which
+    depends on what the caller asked for (a scan without the biased pair
+    skips more U-sets).  Skipped pairs count in `odd_deltas` by the
+    parity lemma (every delta has the parity of k|Y|), so the lemma is
+    checked on walked pairs only, and independently by
+    `test_scan_even_parity_exhaustive`."""
 
     evaluated: int
     odd_deltas: int
@@ -221,9 +223,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     C's code, the least of the U, above the first barrier's) is not
     walked, unless the biased pair is asked for and the bound is at or
     below the best delta so far (ties are always walked).  Its pairs
-    are still counted: all 2^|C & Y| in `evaluated`, and the odd ones
-    in `odd_deltas` by linearity over GF(2), from the same per-U data
-    the walk reads, so the counts equal the walk's.
+    are still counted: all 2^|C & Y| in `evaluated`, and in
+    `odd_deltas` by the parity lemma (every delta has the parity of
+    k|Y|).  The lemma is checked on the walked pairs, whose deltas are
+    counted one by one, and independently by an exhaustive test.
     Hosts above the vertex budget b, or with more than
     2^ceil(b/2) * 3^floor(b/2) pairs, are refused before any scan state
     is built.
@@ -255,43 +258,31 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     first_d = 0  # stays 0 while no barrier is found
     first_c = first_b = 0
 
-    # One stack entry per U: (u_mask, comps, reach, neg, xpar, dodd,
-    # c_code, const).  comps lists G[U]'s components as (mask, row)
-    # pairs, where row has bit y for each B-candidate y in C & Y with
-    # |N(y) & D| odd, and bit `flag` when D is odd at B = empty (its
-    # k|D & Y| is odd).  A pair's delta is const + (sum over B of
-    # |N(y) & U| - 2k: its degree in G - A, since B holds no X-vertices,
-    # with the -2k B-membership cost folded in) - (odd components), with
+    # One stack entry per U: (u_mask, comps, reach, neg, c_code,
+    # const).  comps lists G[U]'s components as (mask, row) pairs, where
+    # row has bit y for each B-candidate y in C & Y with |N(y) & D| odd,
+    # and bit `flag` when D is odd at B = empty (its k|D & Y| is odd).
+    # A pair's delta is const + (sum over B of |N(y) & U| - 2k: its
+    # degree in G - A, since B holds no X-vertices, with the -2k
+    # B-membership cost folded in) - (odd components), with
     # const = 2|C & X| + k|C & Y| and D odd when its flag bit and its
     # bits on B have odd parity.  reach counts the components with a
-    # nonzero row (the ones some pair of the U makes odd), neg is the sum
-    # of the negative weights, xpar the XOR of all rows, and dodd has bit
-    # y when |N(y) & U| is odd.
+    # nonzero row (the ones some pair of the U makes odd), and neg is
+    # the sum of the negative weights.
     flag = 1 << n_total
     k_flag = flag if k & 1 else 0
     two_k = 2 * k
-    stack = [(0, [], 0, -two_k * ny, 0, 0, (pow3[n_total] - 1) // 2,
+    stack = [(0, [], 0, -two_k * ny, (pow3[n_total] - 1) // 2,
               2 * nx + k * ny)]
     while stack:
-        (u_mask, comps, reach, neg, xpar, dodd, c_code,
-         const) = stack.pop()
+        u_mask, comps, reach, neg, c_code, const = stack.pop()
         cy = y_all & ~u_mask
         tcount = cy.bit_count()
         evaluated += 1 << tcount
-        # No delta of this U is below lb.
+        # No delta of this U is below lb.  Walk the U unless no pair of
+        # it can beat or tie the best pair, or be an earlier barrier.
         lb = const - reach + neg
-        if lb > best_d and (lb >= 0 or c_code > first_code):
-            # No pair of this U can beat or tie the best pair, nor be an
-            # earlier barrier, so its walk is skipped.  Over GF(2) a
-            # pair's delta is const + (flag bits) plus, for each y in B,
-            # its weight plus the number of rows holding y; the walk
-            # would count half of the pairs odd when some such term is
-            # odd, and otherwise all or none of them.
-            if (dodd ^ xpar) & cy:
-                odd_deltas += 1 << tcount >> 1
-            elif (const + (xpar >> n_total)) & 1:
-                odd_deltas += 1 << tcount
-        else:
+        if lb <= best_d or (lb < 0 and c_code <= first_code):
             walked += 1 << tcount
             c_mask = all_mask ^ u_mask
             c_size = c_mask.bit_count()
@@ -376,7 +367,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 w = (av & u_mask).bit_count() - two_k
                 nneg = neg - w if w < 0 else neg
                 nconst = const - k
-                ndodd = dodd
             else:
                 # An X-vertex adds 1 to the weight of each neighbour.
                 own = av & ~u_mask
@@ -385,7 +375,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                     if (adjg[y] & u_mask).bit_count() < two_k:
                         nneg += 1
                 nconst = const - 2
-                ndodd = dodd ^ av
             # v joins the components it meets; their rows and its own
             # merge by XOR, and v leaves the row as it leaves C.
             merged = vb
@@ -401,16 +390,14 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                         nreach -= 1
                 else:
                     ncomps.append(comp)
-            # xpar loses the merged rows (row ^ own before the mask) and
-            # gains the new one.
-            gone = row ^ own
             row &= ~vb
             if row:
                 nreach += 1
             ncomps.append((merged, row))
             stack.append((u_mask | vb, ncomps, nreach, nneg,
-                          xpar ^ gone ^ row, ndodd, c_code - pow3[v],
-                          nconst))
+                          c_code - pow3[v], nconst))
+    if k * ny & 1:  # the skipped pairs, by the parity lemma
+        odd_deltas += evaluated - walked
 
     def checked(c_mask: int, b_mask: int, want: int) -> Barrier:
         # Re-evaluate the chosen pair through `delta` and require the

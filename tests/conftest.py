@@ -69,6 +69,7 @@ def suite1_census_stats():
         "instances": 0,
         "scans": 0,
         "odd_deltas": 0,
+        "walked": 0,
         "equivalence_checked": 0,
         "equivalence_mismatches": 0,
     }
@@ -84,6 +85,7 @@ def suite1_census_stats():
             res = deficiency_scan(g, DegreeSpec(k))
             stats["scans"] += 1
             stats["odd_deltas"] += res.stats.odd_deltas
+            stats["walked"] += res.stats.walked
     return stats
 
 
@@ -120,7 +122,7 @@ def suite2():
         drawn.append((h, k, factor is not None))
     elapsed = time.perf_counter() - t0
 
-    scans = odd = 0
+    scans = odd = walked = 0
     structure_checked = structure_failures = 0
     for h, k, found in drawn:
         if (k * h.n) % 2:
@@ -130,6 +132,7 @@ def suite2():
         res = deficiency_scan(g, spec)
         scans += 1
         odd += res.stats.odd_deltas
+        walked += res.stats.walked
         if not found:
             assert res.biased.delta < 0, "solver found no factor yet no barrier"
             rep = check_barrier_structure(g, res.biased, spec)
@@ -143,6 +146,7 @@ def suite2():
         "elapsed": elapsed,
         "scans": scans,
         "odd_deltas": odd,
+        "walked": walked,
         "structure_checked": structure_checked,
         "structure_failures": structure_failures,
     }
@@ -169,6 +173,7 @@ def _suite3_instance(stats, g, k, run_decide):
     if (k * g.y_count) % 2 == 0:
         stats["scans"] += 1
         stats["odd_deltas"] += scan.stats.odd_deltas
+        stats["walked"] += scan.stats.walked
         if not solver_exists:
             rep = check_barrier_structure(g, scan.biased, spec)
             stats["structure_checked"] += 1
@@ -188,6 +193,7 @@ def suite3():
         "brute_checked": 0,
         "scans": 0,
         "odd_deltas": 0,
+        "walked": 0,
         "structure_checked": 0,
         "structure_failures": 0,
     }

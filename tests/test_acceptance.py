@@ -74,11 +74,16 @@ def test_acceptance_4_parity_of_deficiency(capsys, suite1_census_stats,
            + suite3["odd_deltas"])
     scans = (suite1_census_stats["scans"] + suite2["scans"]
              + suite3["scans"])
-    ok = odd == 0 and scans > 0
+    # Only walked pairs are scored one by one; the scan counts the others
+    # by the parity lemma this criterion checks.
+    walked = (suite1_census_stats["walked"] + suite2["walked"]
+              + suite3["walked"])
+    ok = odd == 0 and scans > 0 and walked > 0
     announce(capsys, 4, ok,
              f"parity of deficiency values over suites 1-3 where k|Y| even: "
-             f"{odd} odd values across {scans} scans")
+             f"{odd} odd values across {walked} walked pairs in {scans} scans")
     assert scans > 0
+    assert walked > 0
     assert odd == 0
 
 

@@ -1,10 +1,13 @@
 """Command line behavior: outputs, exit codes, file dispatch."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bergefactor
 from bergefactor import BipartiteGraph, DegreeSpec, delta, incidence_graph
 from bergefactor.cli import build_parser, cli
 from bergefactor.families import complete_uniform, cycle, path, star
@@ -278,14 +281,25 @@ def test_verify_barrier_requires_k(capsys, tmp_path, star_hg):
     code, _, err = run(capsys, "verify", star_hg, str(f))
     assert code == 2
     assert "-k is required" in err
+    for k in ("0", "9"):
+        assert run(capsys, "verify", "-k", k, star_hg, str(f)) == (
+            2, "", "error: k must be in 1..8\n")
 
 
 def test_verify_barrier_rejects_wrong_delta(capsys, tmp_path, star_hg):
+    # Also the right delta with one component misclassified, and pairs
+    # that `delta` refuses: A and B overlapping, and an id past the graph.
     f = tmp_path / "b.bar"
-    f.write_text("-1 1 0\n3\n\nodd 2 0 4\nodd 2 1 5\nodd 2 2 6\n")
-    code, out, _ = run(capsys, "verify", star_hg, str(f), "-k", "1")
-    assert code == 1
-    assert out == "reject: recomputed delta -2 != stated -1\n"
+    for text, want in (
+            ("-1 1 0\n3\n\nodd 2 0 4\nodd 2 1 5\nodd 2 2 6\n",
+             "reject: recomputed delta -2 != stated -1\n"),
+            ("-2 1 0\n3\n\nodd 2 0 4\neven 2 1 5\nodd 2 2 6\n",
+             "reject: component classification mismatch\n"),
+            ("-2 1 1\n3\n3\n", "reject: A and B overlap\n"),
+            ("-2 1 0\n9\n\n", "reject: vertex id outside 0..6\n")):
+        f.write_text(text)
+        assert run(capsys, "verify", star_hg, str(f), "-k", "1") == (
+            1, want, "")
 
 
 def test_verify_barrier_rejects_nonnegative(capsys, tmp_path, c5_hg):
@@ -364,6 +378,10 @@ def test_tightness_porcelain_empty(capsys):
                        "--n-max", "4", "--porcelain")
     assert code == 0
     assert "tau=none" in out.splitlines()
+    code, out, _ = run(capsys, "tightness", "-k", "1", "--budget", "0",
+                       "--n-max", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "best: none found"
 
 
 # ------------------------------------------------------------ exit codes
@@ -449,8 +467,10 @@ def test_calls_in_one_process_share_the_parser_not_its_state(
 def test_console_entry_point(tmp_path):
     f = tmp_path / "c4.hg"
     f.write_text(serialize_hg(cycle(4)))
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(bergefactor.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "bergefactor.cli", "toughness", str(f)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert proc.stdout == "1/1\nwitness {0,2}\n"

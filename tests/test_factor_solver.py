@@ -279,6 +279,16 @@ def test_verify_2k_factor_rejections():
     v = verify_2k_factor(g, repeated)
     assert not v
 
+    outside = FactorSubgraph.make(2, list(ok.edges) + [(g.x_count, 0)])
+    v = verify_2k_factor(g, outside)
+    assert not v and v.reason == f"malformed factor: edge ({g.x_count}, 0)"
+
+    # X-vertex 0 drops both its edges: every X-degree is still 0 or 2,
+    # but its two Y-neighbours fall to degree 1.
+    short = FactorSubgraph.make(2, [e for e in ok.edges if e[0] != 0])
+    v = verify_2k_factor(g, short)
+    assert not v and v.reason.endswith("has degree 1, want 2")
+
 
 def test_verify_2k_factor_x_degree_rule():
     # a single chosen incidence gives its X-vertex degree 1

@@ -456,7 +456,8 @@ def test_structure_holds_on_all_small_barriers():
 
 def test_structure_reports_failures_on_unbiased_pairs():
     """Clause diagnostics must actually fire: a hand-built pair that
-    puts an X-vertex in B violates clause (i)."""
+    puts an X-vertex in B violates clause (i), and one whose odd
+    component holds a vertex with two edges to B violates clause (ii)."""
     g = incidence_graph(star(3))
     spec = DegreeSpec(1)
     rec = delta(g, [1], [0], spec)
@@ -464,6 +465,14 @@ def test_structure_reports_failures_on_unbiased_pairs():
     assert not rep.i.passed
     assert not rep.ok
     assert rep.i.witness
+    # X-vertex 0 joins Y-vertices 1, 2 and 3; with B = {2, 3} at k = 1
+    # its component {0, 1} is odd (target 1, two edges to B).
+    g = BipartiteGraph(1, 4, [(0, 1, 2)])
+    rec = delta(g, [], [2, 3], spec)
+    rep = check_barrier_structure(g, rec, spec)
+    assert rep.i.passed and not rep.ok
+    assert (rep.ii.passed, rep.ii.witness) == (
+        False, "vertex 0 of an odd component sends 2 edges to B")
 
 
 def test_structure_clause_iv_is_exhaustive_up_to_budget():
