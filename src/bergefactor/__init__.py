@@ -5,7 +5,8 @@ The pipeline: a hypergraph's Berge-k-factors correspond to (2,k)-factors
 of its incidence bipartite graph; existence is decided either by an
 exhaustive deficiency criterion (with barrier certificates for the
 negative case) or constructively by a parity-gadget reduction to
-maximum matching.  The two routes are independent and cross-checked.
+perfect matching, whose search stops at the first exposed root with no
+augmenting path.  The two routes are independent and cross-checked.
 """
 
 from .budget import BudgetExceededError

@@ -11,10 +11,9 @@ relabels only the vertices of the blossoms it merges, found through a
 member list kept per blossom base, and queues the newly outer ones in
 ascending id order.  A search costs O(E) for the scan plus, per
 contraction, the blossom's size and the two tree paths walked to its
-base, so O(V * E) in the worst case; the `p`, `base` and `used` arrays
-are allocated once per matching and each search resets only the entries
-it touched.  Scan order is fixed by the sorted adjacency lists, so equal
-inputs always produce equal matchings.
+base, so O(V * E) in the worst case, plus O(V) to allocate its own `p`,
+`base` and `used` arrays.  Scan order is fixed by the sorted adjacency
+lists, so equal inputs always produce equal matchings.
 
 A failed search settles that the graph has no perfect matching
 (Berge): if a perfect matching M* existed, the component of the
@@ -116,15 +115,17 @@ def is_perfect(g: GeneralGraph, m: Matching) -> bool:
 
 
 def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
-                  match: list[int], p: list[int], base: list[int],
-                  used: list[bool]) -> bool:
+                  match: list[int], identity: list[int]) -> bool:
     # BFS over outer vertices; p[] holds the traversal parent of outer
-    # vertices, base[] the blossom base each vertex currently maps to.
-    # On entry p is all -1, base the identity and used all False; every
-    # entry this phase sets is put back before it returns.
+    # vertices, base[] the blossom base each vertex currently maps to,
+    # starting from a copy of `identity`, the list(range(n)) built once
+    # per matching (copying it is cheaper than rebuilding it).
+    n = len(match)
+    p = [-1] * n
+    base = identity.copy()
+    used = [False] * n
     used[root] = True
     q = [root]  # every outer vertex, in BFS order
-    inner: list[int] = []  # vertices whose p was set as an inner vertex
     members: dict[int, list[int]] = {}  # base -> vertices, non-trivial only
 
     def lca(a: int, b: int) -> int:
@@ -148,14 +149,6 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
             p[v] = child
             child = match[v]
             v = p[match[v]]
-
-    def reset() -> None:
-        for i in q:
-            p[i] = -1
-            base[i] = i
-            used[i] = False
-        for i in inner:
-            p[i] = -1
 
     head = 0
     while head < len(q):
@@ -190,7 +183,6 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
                 q.extend(fresh)
             elif p[to] == -1:
                 p[to] = v
-                inner.append(to)
                 if match[to] == -1:
                     # Exposed vertex reached: flip the augmenting path.
                     while to != -1:
@@ -199,11 +191,9 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
                         match[to] = pv
                         match[pv] = to
                         to = ppv
-                    reset()
                     return True
                 used[match[to]] = True
                 q.append(match[to])
-    reset()
     return False
 
 
@@ -221,12 +211,10 @@ def _searches(g: GeneralGraph, match: list[int]) -> Iterator[bool]:
                     match[u] = w
                     match[w] = u
                     break
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
+    identity = list(range(n))
     for v in range(n):
         if match[v] == -1:
-            yield _augment_from(v, adj, match, p, base, used)
+            yield _augment_from(v, adj, match, identity)
 
 
 def _matching_of(match: list[int]) -> Matching:

@@ -247,11 +247,12 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     odd_deltas = 0
     walked = 0
     # Each selection is kept as the masks of C = A + B and of B.  The
-    # biased one starts at the walk's first pair, A = V and B empty.
-    # Without it, best_d starts below every delta, so no pair is ranked
-    # and the skip test keeps only its first-barrier half.
+    # biased one starts at the walk's first pair, A = V and B empty, and
+    # best_rank is its (delta, |B|, -|A|), best_d its delta.  Without
+    # it, best_d starts below every delta, so no pair is ranked and the
+    # skip test keeps only its first-barrier half.
     best_d = 2 * nx + k * ny if biased else -2 * k * ny - n_total - 1
-    best_nb, best_na = 0, n_total
+    best_rank = (best_d, 0, -n_total)
     best_c, best_b = all_mask, 0
     pow3 = [3 ** v for v in range(n_total + 1)]
     first_code = pow3[n_total]  # above every assignment code
@@ -285,7 +286,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         if lb <= best_d or (lb < 0 and c_code <= first_code):
             walked += 1 << tcount
             c_mask = all_mask ^ u_mask
-            c_size = c_mask.bit_count()
             # The B-candidates in increasing order, with their bits,
             # weights and powers of 3.  odd0 holds the components odd at
             # B = empty, and affect[j] those whose parity flips when ys[j]
@@ -304,11 +304,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                     if row & ybits[j]:
                         affect[j] |= rep
             # Gray-code walk over B subsets (cur is B's mask): one vertex
-            # toggles per step, so the weight sum, |B|, the code and the
+            # toggles per step, so the weight sum, the code and the
             # odd-component set update in O(1).
             cur = 0
             sw = 0
-            nb = 0
             code = c_code
             odd_mask = odd0
             step = 0
@@ -320,24 +319,14 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                     first_code, first_d = code, dlt
                     first_c, first_b = c_mask, cur
                 if dlt <= best_d:
-                    na = c_size - nb
-                    if (dlt < best_d or nb < best_nb
-                            or (nb == best_nb and na > best_na)):
-                        best_d, best_nb, best_na = dlt, nb, na
+                    nb = cur.bit_count()
+                    rank = (dlt, nb, nb - c_mask.bit_count())
+                    if rank < best_rank or (
+                            rank == best_rank
+                            and (bit_tuple(cur), bit_tuple(c_mask ^ cur))
+                            < (bit_tuple(best_b), bit_tuple(best_c ^ best_b))):
+                        best_d, best_rank = dlt, rank
                         best_c, best_b = c_mask, cur
-                    elif nb == best_nb and na == best_na:
-                        # B-sets and A-sets have equal sizes here, and of
-                        # two such sets the one holding the least element
-                        # of their symmetric difference is the smaller
-                        # sorted tuple.  With B equal, A ^ A' = C ^ C'.
-                        diff = cur ^ best_b
-                        if diff:
-                            win = cur & diff & -diff
-                        else:
-                            diff = c_mask ^ best_c
-                            win = c_mask & diff & -diff
-                        if win:
-                            best_c, best_b = c_mask, cur
                 step += 1
                 if step == last:
                     break
@@ -346,11 +335,9 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 cur ^= bit
                 if cur & bit:
                     sw += wts[j]
-                    nb += 1
                     code += pows[j]
                 else:
                     sw -= wts[j]
-                    nb -= 1
                     code -= pows[j]
                 odd_mask ^= affect[j]
         # Children: U + v for every v above U's highest vertex, pushed

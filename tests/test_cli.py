@@ -272,6 +272,12 @@ def test_verify_barrier_roundtrip(capsys, tmp_path, star_hg):
     code, out, _ = run(capsys, "verify", star_hg, str(f), "-k", "1")
     assert code == 0
     assert out == "accept: barrier delta=-2\n"
+    # Comments and blank lines ahead of the header, and a blank line
+    # ahead of the component lines, are skipped.
+    head, comps = serialize_bar(br).split("\n\n", 1)
+    f.write_text(f"# star(3)\n\n{head}\n\n\n{comps}")
+    assert run(capsys, "verify", "-k", "1", star_hg, str(f)) == (
+        0, "accept: barrier delta=-2\n", "")
 
 
 def test_verify_barrier_requires_k(capsys, tmp_path, star_hg):
@@ -373,6 +379,13 @@ def test_tightness_cli(capsys):
     assert "barrier delta=" in out
 
 
+def test_tightness_porcelain(capsys):
+    code, out, _ = run(capsys, "tightness", "-k", "1", "--budget", "74",
+                       "--n-max", "4", "--porcelain")
+    assert code == 0
+    assert "tau=1/3" in out.splitlines()
+
+
 def test_tightness_porcelain_empty(capsys):
     code, out, _ = run(capsys, "tightness", "-k", "1", "--budget", "0",
                        "--n-max", "4", "--porcelain")
@@ -391,6 +404,11 @@ def test_budget_exit_code(capsys, star_hg):
     code, _, err = run(capsys, "toughness", star_hg, "--enum-budget", "2")
     assert code == 3
     assert "budget" in err
+    # factor finds no factor and no Y-vertex of degree below k, so the
+    # barrier scan's refusal is the answer.
+    assert run(capsys, "factor", star_hg, "-k", "1", "--enum-budget", "2") == (
+        3, "", "error: criterion scan: instance size 7 exceeds enumeration "
+        "budget 2 (pass a larger budget)\n")
 
 
 def test_pair_budget_exit_code(capsys, tmp_path):
@@ -429,11 +447,26 @@ def test_missing_file_exit_code(capsys):
     assert "error" in err
 
 
-def test_format_error_exit_code(capsys, tmp_path):
+def test_format_error_exit_code(capsys, tmp_path, star_hg):
     f = tmp_path / "bad.hg"
     f.write_text("1\n")
     code, _, err = run(capsys, "criterion", str(f), "-k", "1")
     assert code == 2
+    # Inputs that break a rule of their format or of the command.
+    bar = tmp_path / "b.bar"
+    bar.write_text("-2 1 1\n3\n\nodd 2 0 4\nodd 2 1 5\nodd 2 2 6\n")
+    big = tmp_path / "far.big"
+    big.write_text("1 2\n5\n")
+    empty = tmp_path / "empty.hg"
+    empty.write_text("0 0\n")
+    for argv, want in (
+            (["verify", star_hg, str(bar), "-k", "1"],
+             "|B| = 1 in header but 0 indices listed"),
+            (["criterion", str(big), "-k", "1"],
+             "X-vertex 0 has a neighbor outside 0..1: (5,)"),
+            (["toughness", str(empty)],
+             "toughness needs at least one vertex")):
+        assert run(capsys, *argv) == (2, "", f"error: {want}\n")
 
 
 def test_usage_error_exit_code(capsys):

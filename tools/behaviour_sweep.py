@@ -123,7 +123,7 @@ def scan_line(name: str, k: int) -> None:
         record = f"refused: {e}"
     else:
         record = repr((res.biased, res.first, res.stats.evaluated,
-                       res.stats.odd_deltas))
+                       res.stats.odd_deltas, res.stats.walked))
     digest = hashlib.sha256(record.encode()).hexdigest()
     print("  ".join(["scan", name, str(k), digest]))
 
