@@ -76,16 +76,19 @@ class ScanStats:
     """Bookkeeping from an enumeration: pairs evaluated, and how many of
     the evaluated deltas were odd (must be zero whenever k|Y| is even).
     Both count every pair the scan covers, 2^|X| * 3^|Y| with B inside
-    Y; `walked` counts the pairs the scan's Gray-code walk scored, which
-    depends on what the caller asked for (a scan without the biased pair
-    skips more U-sets).  Skipped pairs count in `odd_deltas` by the
-    parity lemma (every delta has the parity of k|Y|), so the lemma is
-    checked on walked pairs only, and independently by
+    Y.  `walked` counts the pairs the scan's Gray-code walk scored, and
+    `u_sets` the untouched sets U whose state the scan used, not those
+    of the subtrees it dropped.  Both depend on what the caller asked
+    for: a scan without the biased pair skips more U-sets and drops
+    whole subtrees.  Skipped pairs count in `odd_deltas` by the parity
+    lemma (every delta has the parity of k|Y|), so the lemma is checked
+    on walked pairs only, and independently by
     `test_scan_even_parity_exhaustive`."""
 
     evaluated: int
     odd_deltas: int
     walked: int
+    u_sets: int
 
 
 @dataclass(frozen=True)
@@ -205,8 +208,9 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     so the first barrier lives there too.
 
     The scan walks the untouched set U = V - (A + B) depth first, adding
-    one vertex above U's highest at a time, so each U is reached once
-    and its state is updated from its parent's, not rebuilt: the
+    one vertex below U's lowest at a time, highest first, so each U is
+    reached once, the most significant base-3 digits are settled first,
+    and each U's state is updated from its parent's, not rebuilt: the
     components of G[U], each with its parity row (its parity at B empty,
     and the B-candidates y in C & Y of C = V - U that send it an odd
     number of edges; rows merge by XOR), the code of C and the constant
@@ -227,7 +231,15 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     `odd_deltas` by the parity lemma (every delta has the parity of
     k|Y|).  The lemma is checked on the walked pairs, whose deltas are
     counted one by one, and independently by an exhaustive test.
-    Hosts above the vertex budget b, or with more than
+
+    With biased=False whole subtrees are dropped as well: the
+    descendants of a U with lowest vertex t (t = n for U empty) keep
+    every digit at and above t, so none has a code below C's code less
+    (3^t - 1)/2.  When that is above the first barrier's code, no child
+    of the U is built and none of its subtree is walked; the subtree's
+    2^|C & Y at or above t| * 2^|X below t| * 3^|Y below t| pairs are
+    counted as a skipped U's are.  `ScanStats.u_sets` counts the U-sets
+    not dropped.  Hosts above the vertex budget b, or with more than
     2^ceil(b/2) * 3^floor(b/2) pairs, are refused before any scan state
     is built.
 
@@ -242,10 +254,12 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     k = spec.k
     adjg = _global_adjacency(g)
     all_mask = (1 << n_total) - 1
+    x_all = (1 << nx) - 1
     y_all = ((1 << ny) - 1) << nx
     evaluated = 0
     odd_deltas = 0
     walked = 0
+    u_sets = 0
     # Each selection is kept as the masks of C = A + B and of B.  The
     # biased one starts at the walk's first pair, A = V and B empty, and
     # best_rank is its (delta, |B|, -|A|), best_d its delta.  Without
@@ -255,29 +269,44 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     best_rank = (best_d, 0, -n_total)
     best_c, best_b = all_mask, 0
     pow3 = [3 ** v for v in range(n_total + 1)]
+    # The descendants of a U whose lowest vertex is t (n for U empty)
+    # move vertices below t from C to U: half[t] = (3^t - 1)/2 is the
+    # most that lowers a code, and sub[t] = 2^|X below t| * 3^|Y below t|
+    # times 2^|C & Y at or above t| counts the subtree's pairs.
+    half = [(p - 1) // 2 for p in pow3]
+    sub = [2 ** min(t, nx) * 3 ** max(t - nx, 0) for t in range(n_total + 1)]
     first_code = pow3[n_total]  # above every assignment code
     first_d = 0  # stays 0 while no barrier is found
     first_c = first_b = 0
 
-    # One stack entry per U: (u_mask, comps, reach, neg, c_code,
-    # const).  comps lists G[U]'s components as (mask, row) pairs, where
-    # row has bit y for each B-candidate y in C & Y with |N(y) & D| odd,
-    # and bit `flag` when D is odd at B = empty (its k|D & Y| is odd).
+    # One stack entry per U: (u_mask, low, comps, reach, neg, c_code,
+    # const), low being U's lowest vertex (n for U empty).  comps lists
+    # G[U]'s components as (mask, row) pairs, where row has bit y for
+    # each B-candidate y in C & Y with |N(y) & D| odd, and bit `flag`
+    # when D is odd at B = empty (its k|D & Y| is odd).
     # A pair's delta is const + (sum over B of |N(y) & U| - 2k: its
     # degree in G - A, since B holds no X-vertices, with the -2k
     # B-membership cost folded in) - (odd components), with
     # const = 2|C & X| + k|C & Y| and D odd when its flag bit and its
     # bits on B have odd parity.  reach counts the components with a
     # nonzero row (the ones some pair of the U makes odd), and neg is
-    # the sum of the negative weights.
+    # the sum of the negative weights.  under[U & X] holds the Y-vertices
+    # with fewer than 2k neighbours in U, whose weight is negative while
+    # they are B-candidates; it is filled as the walk meets each U & X.
     flag = 1 << n_total
     k_flag = flag if k & 1 else 0
     two_k = 2 * k
-    stack = [(0, [], 0, -two_k * ny, (pow3[n_total] - 1) // 2,
+    under: dict[int, int] = {}
+    stack = [(0, n_total, [], 0, -two_k * ny, half[n_total],
               2 * nx + k * ny)]
     while stack:
-        u_mask, comps, reach, neg, c_code, const = stack.pop()
+        u_mask, low, comps, reach, neg, c_code, const = stack.pop()
         cy = y_all & ~u_mask
+        if not biased and c_code - half[low] > first_code:
+            # No pair of U's subtree can be an earlier barrier.
+            evaluated += sub[low] << (cy >> low).bit_count()
+            continue
+        u_sets += 1
         tcount = cy.bit_count()
         evaluated += 1 << tcount
         # No delta of this U is below lb.  Walk the U unless no pair of
@@ -340,11 +369,13 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                     sw -= wts[j]
                     code -= pows[j]
                 odd_mask ^= affect[j]
-        # Children: U + v for every v above U's highest vertex, pushed
-        # highest first, so that the lowest is popped first.  On the
-        # `criterion` benchmark's hosts this order leaves 17% of the
-        # pairs to the walk, the reverse order 36%.
-        for v in range(n_total - 1, u_mask.bit_length() - 1, -1):
+        # Children: U + v for every v below U's lowest vertex, pushed
+        # lowest first, so that the highest is popped first.  On 400 of
+        # the `criterion` benchmark's hosts this order leaves 15% of the
+        # pairs to the biased walk and 3.3% to the first-barrier walk,
+        # which visits half of the U-sets; the reverse order leaves 25%
+        # and 17%, and the first-barrier walk visits every U-set.
+        for v in range(low):
             vb = 1 << v
             av = adjg[v]
             if v >= nx:
@@ -355,12 +386,17 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 nneg = neg - w if w < 0 else neg
                 nconst = const - k
             else:
-                # An X-vertex adds 1 to the weight of each neighbour.
+                # An X-vertex adds 1 to the weight of each neighbour, which
+                # lifts neg by one for each B-candidate neighbour whose
+                # weight was negative.
                 own = av & ~u_mask
-                nneg = neg
-                for y in bits(own):
-                    if (adjg[y] & u_mask).bit_count() < two_k:
-                        nneg += 1
+                ux = u_mask & x_all
+                neg_y = under.get(ux)
+                if neg_y is None:
+                    neg_y = under[ux] = mask_of(
+                        y for y in range(nx, n_total)
+                        if (adjg[y] & ux).bit_count() < two_k)
+                nneg = neg + (own & neg_y).bit_count()
                 nconst = const - 2
             # v joins the components it meets; their rows and its own
             # merge by XOR, and v leaves the row as it leaves C.
@@ -381,7 +417,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             if row:
                 nreach += 1
             ncomps.append((merged, row))
-            stack.append((u_mask | vb, ncomps, nreach, nneg,
+            stack.append((u_mask | vb, v, ncomps, nreach, nneg,
                           c_code - pow3[v], nconst))
     if k * ny & 1:  # the skipped pairs, by the parity lemma
         odd_deltas += evaluated - walked
@@ -398,7 +434,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
 
     first = checked(first_c, first_b, first_d) if first_d < 0 else None
     return ScanResult(checked(best_c, best_b, best_d) if biased else None,
-                      first, ScanStats(evaluated, odd_deltas, walked))
+                      first, ScanStats(evaluated, odd_deltas, walked, u_sets))
 
 
 def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
@@ -408,8 +444,10 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     returned is the first in base-3 counting order over assignment
     vectors (vertex 0 is the fastest digit; 0 = untouched, 1 = A,
     2 = B): the checked `first` record of a scan that does not seek the
-    biased pair.  `stats` are that scan's: `evaluated` and `odd_deltas`
-    equal a full scan's, `walked` is at most its."""
+    biased pair, and so drops every U-subtree that cannot hold an
+    earlier barrier.  `stats` are that scan's: `evaluated` and
+    `odd_deltas` equal a full scan's, `walked` and `u_sets` are at most
+    its."""
     scan = deficiency_scan(g, spec, budget, biased=False)
     return CriterionResult(scan.first is None, scan.first, scan.stats)
 

@@ -231,12 +231,14 @@ def test_scan_walk_skips_pairs_that_cannot_win():
     # The same pairs as a full walk, fewer of them scored: the walk over
     # B is skipped for a U whose lower bound is above the best delta and
     # that can hold no earlier barrier.  A full walk scores `evaluated`.
+    # The biased scan uses the state of every U-set, 2^|V|.
     g = incidence_graph(star(3))
     res = deficiency_scan(g, DegreeSpec(1))
     assert (res.biased.a, res.biased.b, res.biased.delta) == ((3,), (), -2)
     assert (res.first.a, res.first.b, res.first.delta) == ((3,), (), -2)
     assert res.stats.evaluated == 648
-    assert res.stats.walked == 128 < 648
+    assert res.stats.walked == 92 < 648
+    assert res.stats.u_sets == 128
     # A factor-less host of the criterion benchmark's size, |X| + |Y| = 10.
     g = BipartiteGraph(5, 5, [(0, 2, 3, 4), (0, 1, 2), (1,), (4,), (1, 3, 4)])
     res = deficiency_scan(g, DegreeSpec(2))
@@ -246,12 +248,15 @@ def test_scan_walk_skips_pairs_that_cannot_win():
         (), (5, 6, 7), -2)
     assert res.stats.evaluated == 7776
     assert res.stats.odd_deltas == 0
-    assert res.stats.walked == 744 < 7776
+    assert res.stats.walked == 1089 < 7776
+    assert res.stats.u_sets == 1024
     # Seeking only the first barrier, the walk skips every U that cannot
-    # hold an earlier one, whatever its bound.
+    # hold an earlier one, whatever its bound, and drops every subtree
+    # of U-sets that cannot.
     dec = decide_by_criterion(g, DegreeSpec(2))
     assert (dec.barrier.a, dec.barrier.b) == (res.first.a, res.first.b)
-    assert dec.stats.walked == 240 < 744
+    assert dec.stats.walked == 72 < 1089
+    assert dec.stats.u_sets == 258 < 1024
 
 
 def test_scan_minimum_is_gadget_deficiency_k3():
@@ -341,6 +346,36 @@ def test_decide_first_barrier_on_larger_hosts():
     assert 5 < found_any < 40  # both outcomes must occur
 
 
+def test_decide_prunes_subtrees_on_larger_hosts():
+    """On factor-less 8+8 to 9+9 hosts the first barrier lies deep in the
+    walk (for k = 1 it is A = B = empty, the last U of the first path),
+    and every U-subtree after it is dropped.  The result and the pair
+    counts are the biased scan's, which drops no subtree."""
+    rng = random.Random(58)
+    hosts = 0
+    while hosts < 4:
+        nx, ny = rng.randint(8, 9), rng.randint(8, 9)
+        k = 2 if hosts else 1
+        rows = [tuple(sorted(rng.sample(range(ny), rng.randint(1, 4))))
+                for _ in range(nx)]
+        if min(sum(y in r for r in rows) for y in range(ny)) < k:
+            continue
+        g = BipartiteGraph(nx, ny, rows)
+        dec = decide_by_criterion(g, DegreeSpec(k), budget=20)
+        if dec.exists:
+            continue
+        hosts += 1
+        full = deficiency_scan(g, DegreeSpec(k), budget=20)
+        first = full.first
+        assert (dec.barrier.a, dec.barrier.b, dec.barrier.delta) == (
+            first.a, first.b, first.delta), (g, k)
+        assert dec.stats.evaluated == full.stats.evaluated == 2 ** nx * 3 ** ny
+        assert dec.stats.odd_deltas == full.stats.odd_deltas
+        assert full.stats.u_sets == 2 ** (nx + ny)
+        assert dec.stats.u_sets * 8 <= 2 ** (nx + ny), (g, k)
+        assert dec.stats.walked < full.stats.walked, (g, k)
+
+
 def test_decide_star_first_barrier():
     # in base-3 counting order the hub vertex (global 3) is the first
     # assignment whose deficiency goes negative
@@ -350,11 +385,13 @@ def test_decide_star_first_barrier():
     assert (res.barrier.a, res.barrier.b) == ((3,), ())
     assert res.barrier.delta == -2
     # one enumeration: decide evaluates exactly the scan's 2^3 * 3^4 pairs,
-    # and walks fewer of them, as it does not seek the biased pair
+    # and walks fewer of them, as it does not seek the biased pair; it
+    # finds the barrier early and drops the U-subtrees after it
     full = deficiency_scan(g, DegreeSpec(1)).stats
     assert res.stats.evaluated == full.evaluated == 648
     assert res.stats.odd_deltas == full.odd_deltas
-    assert res.stats.walked == 56 < full.walked == 128
+    assert res.stats.walked == 2 < full.walked == 92
+    assert res.stats.u_sets == 15 < full.u_sets == 128
 
 
 # ---------------------------------------------------------------- biased

@@ -4,6 +4,9 @@ Writes a fixed corpus of small inputs into a temporary directory, runs
 `toughness`, `y-toughness`, `criterion`, `barrier` (plain, `--biased`,
 `--check-structure`), `factor` and `factor --trace` on each at k = 1..3,
 then `verify` on every `.bar` and `.bkf` certificate those runs print.
+Each `.big` file also gets a `scan` and a `decide` line at k = 1..3: the
+hash of the records and counts of `deficiency_scan` with and without
+the biased pair.
 The `tough*.hg` files, random hypergraphs with 11 to 14 vertices, go
 through `toughness` and `y-toughness` only: they cover the sizes at
 which the toughness scan prunes most.  Last come the two commands that
@@ -116,16 +119,20 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def scan_line(name: str, k: int) -> None:
+    """One `scan` line for the biased scan and one `decide` line for
+    the first-barrier scan, each hashing the scan's pairs and counts."""
     g = load_bipartite(name)
-    try:
-        res = deficiency_scan(g, DegreeSpec(k))
-    except BudgetExceededError as e:
-        record = f"refused: {e}"
-    else:
-        record = repr((res.biased, res.first, res.stats.evaluated,
-                       res.stats.odd_deltas, res.stats.walked))
-    digest = hashlib.sha256(record.encode()).hexdigest()
-    print("  ".join(["scan", name, str(k), digest]))
+    for tag, biased in (("scan", True), ("decide", False)):
+        try:
+            res = deficiency_scan(g, DegreeSpec(k), biased=biased)
+        except BudgetExceededError as e:
+            record = f"refused: {e}"
+        else:
+            record = repr((res.biased, res.first, res.stats.evaluated,
+                           res.stats.odd_deltas, res.stats.walked,
+                           res.stats.u_sets))
+        digest = hashlib.sha256(record.encode()).hexdigest()
+        print("  ".join([tag, name, str(k), digest]))
 
 
 def barrier_text(stdout: str) -> str:
