@@ -28,7 +28,7 @@ matching, a selected incidence's e_x is matched into its pair, every
 other e_x to its e_y, and the pair of an X-vertex that takes none to
 itself.  The matcher's greedy pass then gives each free e_y a copy, and
 only the copies that remain exposed, one per unit of need the selection
-left, start a search.
+left, are the roots of its first forest phase.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     """Search for a (2,k)-factor of the host graph; None when there is
     none.  A Y-vertex of degree below k answers None before the gadget
     is built.  Otherwise the factor is read off a perfect matching of
-    the gadget, so the matcher stops at its first failed search: that
-    already shows there is no factor.  A factor is checked by
+    the gadget, and the matcher's first phase or search that augments
+    nothing already shows there is no factor.  A factor is checked by
     `verify_2k_factor` before it is returned.  `trace` receives progress
     lines."""
     y = sparse_y_vertex(g, spec)

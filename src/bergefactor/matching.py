@@ -2,33 +2,34 @@
 
 Unweighted Edmonds matching: a deterministic greedy pass over the
 sorted adjacency (u ascending, each neighbour w > u, which is the order
-of the canonical edge list), then one BFS search per vertex still
-exposed when its turn comes, in id order, contracting odd cycles by
-rebasing them onto their stem (the `base` array).  The greedy pass
-extends whatever matching the caller starts from: `max_matching` starts
-from none, `perfect_matching` may be given a warm start.  A contraction
-relabels only the vertices of the blossoms it merges, found through a
-member list kept per blossom base, and queues the newly outer ones in
-ascending id order.  A search costs O(E) for the scan plus, per
-contraction, the blossom's size and the two tree paths walked to its
-base, so O(V * E) in the worst case, plus O(V) to allocate its own `p`,
-`base` and `used` arrays.  Scan order is fixed by the sorted adjacency
-lists, so equal inputs always produce equal matchings.
+of the canonical edge list) extends the caller's start, then one kernel
+grows an alternating forest from the roots it is given.  An edge
+between two outer vertices of one tree closes an odd cycle, which is
+contracted by relabelling only the merged blossoms' members (a list
+kept per base); its base is found by walking up from both ends in turn,
+at most twice the longer of the two walks the relabelling makes anyway.
+Between two trees such an edge is an augmenting path: both paths flip,
+both trees retire and no later edge enters them.  A call ends with the
+BFS wave of its first augmentation (a Hopcroft-Karp phase), so it costs
+O(E) plus its contractions.  Scan order is fixed by the sorted
+adjacency, so equal inputs always produce equal matchings.
 
-A failed search settles that the graph has no perfect matching
-(Berge): if a perfect matching M* existed, the component of the
-symmetric difference of M and M* at the still-exposed root would be an
-augmenting path from it, whatever matching M the searches started
-from.  `perfect_matching` stops at that first failure.  `max_matching`
-runs every search; its result is maximum because a root with no
-augmenting path gains none after later augmentations.
+`max_matching` searches one root at a time, each exposed vertex in id
+order; a root with no augmenting path gains none later.
+`perfect_matching` runs phases from every exposed vertex while each at
+least halves the exposed set; a phase that augments nothing ends on a
+Hungarian forest.  Past the first phase that does not halve it, the
+few roots left are searched one at a time in id order, up to the first
+that fails, which needs no full forest: if a perfect matching M*
+existed, the component of M's symmetric difference with M* at that
+root would be an augmenting path from it (Berge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GeneralGraph:
@@ -114,33 +115,40 @@ def is_perfect(g: GeneralGraph, m: Matching) -> bool:
     return 2 * len(m.edges) == g.n
 
 
-def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
-                  match: list[int], identity: list[int]) -> bool:
-    # BFS over outer vertices; p[] holds the traversal parent of outer
-    # vertices, base[] the blossom base each vertex currently maps to,
-    # starting from a copy of `identity`, the list(range(n)) built once
-    # per matching (copying it is cheaper than rebuilding it).
+def _augment_from(roots: Sequence[int], adj: tuple[tuple[int, ...], ...],
+                  match: list[int], identity: list[int]) -> int:
+    """Grow one forest from `roots` and flip the disjoint augmenting
+    paths it meets, within one phase; returns the number of trees
+    retired, 0 when the forest is Hungarian."""
+    # p[] holds traversal parents, base[] blossom bases, starting from a
+    # copy of `identity`, the list(range(n)) built once per matching;
+    # used[] marks outer vertices and tree[] each forest vertex's root.
     n = len(match)
     p = [-1] * n
     base = identity.copy()
     used = [False] * n
-    used[root] = True
-    q = [root]  # every outer vertex, in BFS order
+    tree = [-1] * n
+    dead = [False] * n  # by root
+    for r in roots:
+        used[r] = True
+        tree[r] = r
+    q = list(roots)  # every outer vertex, in BFS order
     members: dict[int, list[int]] = {}  # base -> vertices, non-trivial only
+    retired = 0
+    stop = n  # the queue never holds more than n vertices
 
     def lca(a: int, b: int) -> int:
-        seen = set()
+        # Walk up from both ends in turn; the first base seen from both
+        # is the nearest common one.  A walker at its root waits there.
+        a, b = base[a], base[b]
+        seen_a, seen_b = {a}, {b}
         while True:
-            a = base[a]
-            seen.add(a)
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if b in seen:
-                return b
-            b = p[match[b]]
+            if match[a] != -1:
+                a = base[p[match[a]]]
+            if a in seen_b:
+                return a
+            seen_a.add(a)
+            a, b, seen_a, seen_b = b, a, seen_b, seen_a
 
     def mark_path(v: int, b: int, child: int, flower: set[int]) -> None:
         while base[v] != b:
@@ -150,71 +158,91 @@ def _augment_from(root: int, adj: tuple[tuple[int, ...], ...],
             child = match[v]
             v = p[match[v]]
 
+    def flip(u: int, w: int) -> None:
+        # u takes w, u's old mate takes its parent, ... up to u's root.
+        while True:
+            old = match[u]
+            match[u] = w
+            match[w] = u
+            if old == -1:
+                return
+            w = old
+            u = p[old]
+
     head = 0
-    while head < len(q):
+    while head < len(q) and head < stop:
         v = q[head]
         head += 1
+        tv = tree[v]
+        if dead[tv]:
+            continue
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
-                # Odd cycle: contract it onto the common base.  Only the
-                # vertices of the flower are relabelled; the new outer
-                # ones join the queue in ascending id order.
-                cur = lca(v, to)
-                flower: set[int] = set()
-                mark_path(v, cur, to, flower)
-                mark_path(to, cur, v, flower)
-                # cur is outer, and so is every member of a non-trivial
-                # blossom: the vertices already based at cur need nothing.
-                flower.discard(cur)
-                grown = members.setdefault(cur, [cur])
-                fresh = []
-                for b in flower:
-                    group = members.pop(b, None) or [b]
-                    for i in group:
-                        base[i] = cur
-                        if not used[i]:
-                            fresh.append(i)
-                    grown.extend(group)
-                fresh.sort()
-                for i in fresh:
-                    used[i] = True
-                q.extend(fresh)
-            elif p[to] == -1:
+            if used[to]:
+                tt = tree[to]
+                if tt == tv:
+                    # Odd cycle: contract it onto the common base.  Only
+                    # the vertices of the flower are relabelled; the new
+                    # outer ones join the queue in ascending id order.
+                    cur = lca(v, to)
+                    flower: set[int] = set()
+                    mark_path(v, cur, to, flower)
+                    mark_path(to, cur, v, flower)
+                    # cur is outer, and so is every member of a
+                    # non-trivial blossom: the vertices already based at
+                    # cur need nothing.
+                    flower.discard(cur)
+                    grown = members.setdefault(cur, [cur])
+                    fresh = []
+                    for b in flower:
+                        group = members.pop(b, None) or [b]
+                        for i in group:
+                            base[i] = cur
+                            if not used[i]:
+                                fresh.append(i)
+                        grown.extend(group)
+                    fresh.sort()
+                    for i in fresh:
+                        used[i] = True
+                    q.extend(fresh)
+                    continue
+                if dead[tt]:
+                    continue
+                dead[tt] = True  # two trees meet
+                retired += 1
+            elif p[to] != -1:
+                continue
+            elif match[to] != -1:
                 p[to] = v
-                if match[to] == -1:
-                    # Exposed vertex reached: flip the augmenting path.
-                    while to != -1:
-                        pv = p[to]
-                        ppv = match[pv]
-                        match[to] = pv
-                        match[pv] = to
-                        to = ppv
-                    return True
-                used[match[to]] = True
-                q.append(match[to])
-    return False
+                mate = match[to]
+                tree[to] = tree[mate] = tv
+                used[mate] = True
+                q.append(mate)
+                continue
+            # Augmenting path through v-to (to is outer in another tree,
+            # or exposed outside the forest): flip both sides, retire
+            # v's tree and close the phase at the end of this wave.
+            mate = match[to]
+            flip(v, to)
+            if mate != -1:
+                flip(p[mate], mate)
+            dead[tv] = True
+            retired += 1
+            stop = min(stop, len(q))
+            break
+    return retired
 
 
-def _searches(g: GeneralGraph, match: list[int]) -> Iterator[bool]:
-    """Extend the matching in `match` (-1 marks an exposed vertex) with
-    the greedy pass over the sorted adjacency, then run one search per
-    exposed root in id order, yielding whether it augmented.  A caller
-    that stops reading runs no further search."""
-    n = g.n
-    adj = g.adjacency
-    for u in range(n):
+def _greedy(adj: tuple[tuple[int, ...], ...], match: list[int]) -> None:
+    # Extend the mate array `match` (-1 when exposed) greedily.
+    for u, a in enumerate(adj):
         if match[u] == -1:
-            for w in adj[u]:
+            for w in a:
                 if w > u and match[w] == -1:
                     match[u] = w
                     match[w] = u
                     break
-    identity = list(range(n))
-    for v in range(n):
-        if match[v] == -1:
-            yield _augment_from(v, adj, match, identity)
 
 
 def _matching_of(match: list[int]) -> Matching:
@@ -225,23 +253,28 @@ def _matching_of(match: list[int]) -> Matching:
 
 def max_matching(g: GeneralGraph) -> Matching:
     """Maximum-cardinality matching, deterministic for a fixed input."""
+    adj = g.adjacency
     match = [-1] * g.n
-    for _ in _searches(g, match):
-        pass
+    _greedy(adj, match)
+    identity = list(range(g.n))
+    for v in range(g.n):
+        if match[v] == -1:
+            _augment_from([v], adj, match, identity)
     return _matching_of(match)
 
 
 def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
                      ) -> Matching | None:
     """A perfect matching of `g`, or None when it has none.  The greedy
-    pass and the searches extend `start`, a mate array (start[v] is v's
-    mate, -1 when v is exposed) of edges of `g`, or the empty matching
-    when it is None; so the result depends on `start`, and without one
-    it is `max_matching(g)`.  The searches stop at the first exposed
-    root with no augmenting path (Berge), so a graph without a perfect
-    matching costs one failed search, not one per exposed root.  A
+    pass extends `start`, a mate array (start[v] is v's mate, -1 when v
+    is exposed) of edges of `g`, or the empty matching when it is None,
+    so the result depends on `start`.  Forest phases from every exposed
+    vertex follow while each at least halves the exposed set, then
+    single-root searches in id order; the first phase or search that
+    augments nothing answers None (see the module docstring).  A
     `start` that is not a matching of `g` raises ValueError."""
     n = g.n
+    adj = g.adjacency
     if start is None:
         match = [-1] * n
     else:
@@ -249,10 +282,22 @@ def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
         if len(match) != n:
             raise ValueError(f"start has {len(match)} entries, "
                              f"the graph {n} vertices")
-        adj = g.adjacency
         for v, w in enumerate(match):
             if w != -1 and not (0 <= w < n and match[w] == v
                                 and w in adj[v]):
                 raise ValueError(f"start pairs vertex {v} with {w}, "
                                  "which is not a matching edge")
-    return _matching_of(match) if all(_searches(g, match)) else None
+    _greedy(adj, match)
+    identity = list(range(n))
+    roots = [v for v in range(n) if match[v] == -1]
+    while roots:
+        if not _augment_from(roots, adj, match, identity):
+            return None
+        left = [v for v in roots if match[v] == -1]
+        if 2 * len(left) > len(roots):
+            break
+        roots = left
+    for v in roots:
+        if match[v] == -1 and not _augment_from([v], adj, match, identity):
+            return None
+    return _matching_of(match)

@@ -80,7 +80,9 @@ def test_exhaustive_up_to_five_vertices():
             used = [v for e in m.edges for v in e]
             assert len(used) == len(set(used))
             assert all(e in g.edges for e in m.edges)
-            assert perfect_matching(g) == (m if 2 * len(m) == n else None)
+            pm = perfect_matching(g)
+            assert (pm is None) == (2 * len(m) != n)
+            assert pm is None or is_perfect(g, pm)
 
 
 def test_random_up_to_ten_vertices():
@@ -93,7 +95,9 @@ def test_random_up_to_ten_vertices():
         g = GeneralGraph(n, edges)
         m = max_matching(g)
         assert len(m) == oracles.max_matching_size(n, edges)
-        assert perfect_matching(g) == (m if 2 * len(m) == n else None)
+        pm = perfect_matching(g)
+        assert (pm is None) == (2 * len(m) != n)
+        assert pm is None or is_perfect(g, pm)
 
 
 def test_perfect_matching_rejects_a_start_that_is_no_matching():
@@ -131,27 +135,83 @@ def test_same_matching_as_reference_on_gadgets():
         g = gadget.graph
         m = max_matching(g)
         assert m.edges == oracles.max_matching_reference(g)
-        assert perfect_matching(g) == (m if 2 * len(m) == g.n else None)
+        pm = perfect_matching(g)
+        assert (pm is None) == (2 * len(m) != g.n)
+        assert pm is None or is_perfect(g, pm)
 
 
-@pytest.mark.parametrize("h, k, want", [
-    (star(4), 1, [False]),  # max_matching runs 3 searches, all failing
-    (complete_bipartite(2, 4), 2, [False]),  # 4, all failing
-    # the warm start leaves two roots; both augment, and there is a factor
-    (complete_graph(6), 3, [True, True]),
-    # the warm start leaves two roots; the first augments, the second
-    # fails, and that failure already rules the factor out
-    (complete_graph(5), 3, [True, False]),
-])
-def test_factor_search_stops_at_first_failed_root(monkeypatch, h, k, want):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(roots, trees retired) of every call of the search kernel."""
     calls = []
     search = matching._augment_from
 
-    def recorded(*args):
-        calls.append(search(*args))
-        return calls[-1]
+    def recorded(roots, *args):
+        calls.append((len(roots), search(roots, *args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(matching, "_augment_from", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("h, k, want", [
+    # one phase from every exposed vertex retires no tree: its forest is
+    # Hungarian, so there is no factor and no search follows
+    (star(4), 1, [(3, 0)]),
+    (complete_bipartite(2, 4), 2, [(4, 0)]),
+    # four roots: the first phase joins two trees, which halves the
+    # exposed set, and the second phase joins the last two
+    (complete_graph(6), 3, [(4, 2), (2, 2)]),
+    # three roots: one augmentation leaves one, whose phase fails
+    (complete_graph(5), 3, [(3, 2), (1, 0)]),
+])
+def test_factor_search_stops_at_first_failed_root(kernel_calls, h, k, want):
     found = find_2k_factor(incidence_graph(h), DegreeSpec(k))
-    assert calls == want
-    assert (found is None) == (False in calls)
+    assert kernel_calls == want
+    # a factor-less host ends on the one call that retired nothing
+    assert (found is None) == (kernel_calls[-1][1] == 0)
+    assert all(retired for _, retired in kernel_calls[:-1])
+
+
+def test_trees_meet_between_non_base_blossom_vertices(kernel_calls):
+    # Two 5-cycles, 0-1=2-3=4-0 and 5-6=7-8=9-5, whose = edges are the
+    # start, leaving roots 0 and 5 exposed.  Each tree contracts its cycle onto its root
+    # before the trees meet on 1-6, and each side then flips the long
+    # way round its blossom.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+             (5, 6), (6, 7), (7, 8), (8, 9), (5, 9), (1, 6)]
+    g = GeneralGraph(10, edges)
+    start = [-1, 2, 1, 4, 3, -1, 7, 6, 9, 8]
+    pm = perfect_matching(g, start)
+    assert is_perfect(g, pm)
+    assert pm.edges == ((0, 4), (1, 6), (2, 3), (5, 9), (7, 8))
+    assert kernel_calls == [(2, 2)]
+
+
+def test_perfect_matching_from_random_maximal_starts(kernel_calls):
+    # Random maximal matchings as warm starts reach repeated phases and
+    # the switch to single-root searches, on graphs with and without a
+    # perfect matching.
+    rng = random.Random(31)
+    phased = switched = 0
+    for _ in range(2000):
+        n = rng.randint(10, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.35, 0.6))
+        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+        g = GeneralGraph(n, edges)
+        start = [-1] * n
+        for u, w in rng.sample(g.edges, len(g.edges)):
+            if start[u] == -1 and start[w] == -1:
+                start[u], start[w] = w, u
+        given = list(start)
+        kernel_calls.clear()
+        pm = perfect_matching(g, start)
+        assert start == given
+        size = len(oracles.max_matching_reference(g))
+        assert (pm is None) == (2 * size != n)
+        assert pm is None or is_perfect(g, pm)
+        phased += sum(a > 1 for a, _ in kernel_calls) > 1
+        # a phase that augmented but left more than half its roots
+        # exposed hands over to single-root searches
+        switched += any(r and 2 * (a - r) > a for a, r in kernel_calls)
+    assert phased and switched
