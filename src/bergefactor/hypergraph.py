@@ -137,9 +137,22 @@ def _component_groups(n: int, edge_masks: Sequence[int],
                       s_mask: int) -> list[tuple[int, ...]]:
     """Components of H - S on the vertices 0..n-1 given by their edge
     masks, as `components` orders them; the vertices of S are left
-    out, and the edges meeting S with them."""
+    out, and the edges meeting S with them.  One union-find pass merges
+    the vertices of every edge that misses S; edgeless survivors stay
+    singletons."""
     parent = list(range(n))
-    _component_count(parent, edge_masks, s_mask, 0)
+    for em in edge_masks:
+        if em & s_mask:
+            continue
+        low = em & -em
+        a = _find(parent, low.bit_length() - 1)
+        m = em ^ low
+        while m:
+            low = m & -m
+            m ^= low
+            b = _find(parent, low.bit_length() - 1)
+            if b != a:
+                parent[b] = a
     groups: dict[int, list[int]] = {}
     for v in range(n):
         if not s_mask >> v & 1:
@@ -168,101 +181,145 @@ def strong_delete(h: Hypergraph, s: Iterable[int]) -> StrongDeletion:
     return StrongDeletion(Hypergraph(len(keep), new_edges), vmap, emap)
 
 
-def _component_count(parent: list[int], edge_masks: Sequence[int],
-                     s_mask: int, need: int) -> int:
-    """Components of H - S, counting edgeless survivors as singletons.
-    Merges the survivors in `parent`, a union-find list over all
-    n = len(parent) vertices, which the caller passes as the identity.
-
-    The count starts at n - |S| and only falls as edges merge, so once
-    it drops below `need` the caller's answer is settled: the count
-    returns then, a partial value below `need` and no smaller than the
-    true count.  `need` = 0 never stops early and leaves `parent` fully
-    merged."""
-    count = len(parent) - s_mask.bit_count()
-    for em in edge_masks:
-        if em & s_mask:
-            continue
-        m = em
-        low = m & -m
-        a = _find(parent, low.bit_length() - 1)
-        m ^= low
-        while m:
-            low = m & -m
-            m ^= low
-            b = _find(parent, low.bit_length() - 1)
-            if b != a:
-                parent[b] = a
-                count -= 1
-                if count < need:
-                    return count
-    return count
-
-
 def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
-    """Exact toughness by a cutset scan in increasing |S|.
+    """Exact toughness by a branch and bound over the vertices, run once
+    per cutset size in increasing order.
 
     Returns the minimum |S| / c(H - S) over all S with c(H - S) >= 2, as a
     Fraction, together with the smallest and then lexicographically least
     minimizing S.  Returns the infinite value when no such S exists,
-    which `is_complete` decides before any scan.
+    which `is_complete` decides before any search.
 
     Level s holds the cutsets of size s.  H - S has at most n - s
     components, so no cutset of size s or more falls below the best ratio
-    found so far once s / (n - s) reaches it, and the scan stops there;
+    found so far once s / (n - s) reaches it, and the search stops there;
     a later level could only tie, and a tie never displaces a smaller
     witness.  Within a level, a cutset of size s can improve or tie the
     best ratio bn / bd only with at least need = max(2, ceil(s·bd / bn))
-    components (2 while there is no best), and each component count
-    stops as soon as it falls below that.  The count only falls as edges
-    merge, so a stopped cutset could neither improve nor tie, and no
-    value or witness changes; at s = bn, need is bd, so every tie still
-    reaches the witness comparison.  Instances above the enumeration
-    budget (the `budget` argument, default 20 vertices) are refused,
-    never truncated."""
+    components (2 while there is no best).  `_search_level` decides the
+    vertices one at a time, in descending order of degree over the
+    edges of size 2 or more (ties by id): each joins S or survives, and
+    a survivor adds the edges that miss S and end at it in that order,
+    merging the components they touch.  A partial cutset whose
+    components so far plus its vertices still to survive fall below
+    need is dropped with its whole subtree: later merges only lower the
+    count, so no dropped cutset could improve or tie, and no value or
+    witness changes; at s = bn, need is bd, so every tie still reaches
+    the witness comparison, which is made in the original labels.
+    Instances above the enumeration budget (the `budget` argument,
+    default 20 vertices) are refused, never truncated."""
     if h.n < 1:
         raise ValueError("toughness needs at least one vertex")
     limit = _budget.DEFAULT_VERTEX_BUDGET if budget is None else budget
     _budget.check("toughness", h.n, limit)
     if is_complete(h):
         return ToughnessValue(None, None)
-    masks = h.edge_masks
     n = h.n
-    full = 1 << n
+    degree = [0] * n
+    for e in h.edges:
+        if len(e) > 1:
+            for v in e:
+                degree[v] += 1
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    ends: list[set[int]] = [set() for _ in range(n)]
+    for e, em in zip(h.edges, h.edge_masks):
+        if len(e) > 1:
+            ends[max(pos[v] for v in e)].add(em)
+    plan = [(1 << v, tuple(ends[i])) for i, v in enumerate(order)]
     # Best ratio tracked as a num/den pair to avoid a Fraction per
-    # subset; the numerator is the best cutset's size.
-    bn = 0
-    bd = 0
-    best_mask = 0
-    # Fewest components with which a cutset of this size could still
-    # improve or tie the best ratio.
-    need = 2
+    # cutset; the numerator is the best cutset's size.
+    best = (0, 0, 0)
     for size in range(n + 1):
+        bn, bd, _ = best
+        # Fewest components with which a cutset of this size could
+        # still improve or tie the best ratio.
+        need = 2
         if bd:
             if size * bd >= bn * (n - size):
                 break
             need = max(2, -(-size * bd // bn))
-        s_mask = (1 << size) - 1
-        while s_mask < full:
-            c = _component_count(list(range(n)), masks, s_mask, need)
-            if c >= need:
-                if bd == 0 or size * bd < bn * c:
-                    bn, bd, best_mask, need = size, c, s_mask, c
-                elif size == bn and c == bd:
-                    # Equal sizes: the set holding the least element of
-                    # the symmetric difference is the smaller tuple.
-                    diff = s_mask ^ best_mask
-                    if s_mask & diff & -diff:
-                        best_mask = s_mask
-            if not s_mask:
-                break
-            # Gosper's step: the next larger mask with the same popcount.
-            low = s_mask & -s_mask
-            ripple = s_mask + low
-            s_mask = (((ripple ^ s_mask) >> 2) // low) | ripple
+        best, _nodes, _leaves = _search_level(plan, size, need, best)
     # Some pair {u, v} is no 2-edge, so S = V - {u, v} leaves 2
-    # components and the scan always finds a cutset.
+    # components and the search always finds a cutset.
+    bn, bd, best_mask = best
     return ToughnessValue(Fraction(bn, bd), bit_tuple(best_mask))
+
+
+def _search_level(plan: Sequence[tuple[int, tuple[int, ...]]], size: int,
+                  need: int, best: tuple[int, int, int]
+                  ) -> tuple[tuple[int, int, int], int, int]:
+    """One level of `toughness`: the cutsets S of `size` vertices with at
+    least `need` components, searched depth first.  `plan` gives, in
+    visit order, each vertex's bit and the edge masks whose last vertex
+    it is.  `best` is (bn, bd, mask): the best ratio bn / bd so far as
+    a pair, bd = 0 while there is none, and its cutset.  Returns the
+    updated `best`, the nodes visited and the leaves (full cutsets)
+    reached; `toughness` uses only `best`."""
+    n = len(plan)
+    bn, bd, best_mask = best
+    nodes = leaves = 0
+    # One entry per node: (i, free, s_mask, comps), the first i vertices
+    # of the order decided, free of them still to join S, and comps the
+    # component masks of the survivors so far.  Edges that end at an
+    # undecided vertex are not added yet, so they can only merge more.
+    stack: list[tuple[int, int, int, list[int]]] = [(0, size, 0, [])]
+    while stack:
+        i, free, s_mask, comps = stack.pop()
+        # Walk down from the popped node, to the join child while some
+        # vertex must still join S (the survive child waits on the
+        # stack), and to the survive child once none must.
+        while True:
+            nodes += 1
+            rest = n - i
+            if free == rest:
+                # The rest join S and add no edge.
+                leaves += 1
+                c = len(comps)
+                if c >= need:
+                    for b, _ in plan[i:]:
+                        s_mask |= b
+                    if bd == 0 or size * bd < bn * c:
+                        bn, bd, best_mask, need = size, c, s_mask, c
+                    elif size == bn and c == bd:
+                        # Equal sizes: the set holding the least element
+                        # of the symmetric difference is the smaller tuple.
+                        diff = s_mask ^ best_mask
+                        if s_mask & diff & -diff:
+                            best_mask = s_mask
+                break
+            b, ending = plan[i]
+            reach = 0
+            for em in ending:
+                if not em & s_mask:
+                    reach |= em
+            if reach:
+                merged = b
+                grown = []
+                for cm in comps:
+                    if cm & reach:
+                        merged |= cm
+                    else:
+                        grown.append(cm)
+                grown.append(merged)
+            else:
+                grown = comps + [b]
+            # Every vertex still to survive may add one component;
+            # merges only remove them.
+            alive = len(grown) + rest - 1 - free >= need
+            if free:
+                if alive:
+                    stack.append((i + 1, free, s_mask, grown))
+                s_mask |= b
+                free -= 1
+            elif alive:
+                comps = grown
+            else:
+                break
+            i += 1
+    return (bn, bd, best_mask), nodes, leaves
 
 
 def is_complete(h: Hypergraph) -> bool:

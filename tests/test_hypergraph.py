@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -188,6 +189,29 @@ def test_toughness_matches_oracle_larger_random():
         assert (got.value, got.witness) == oracles.hypergraph_toughness(n, edges)
 
 
+def test_toughness_matches_oracle_at_census_size():
+    # The sizes of the benchmark census: n 11..13, m n..3n, edges of
+    # size 2..6.
+    rng = random.Random(20261017)
+    for trial in range(30):
+        n = 11 + trial % 3
+        m = rng.randint(n, 3 * n)
+        edges = [tuple(sorted(rng.sample(range(n), rng.randint(2, 6))))
+                 for _ in range(m)]
+        got = toughness(Hypergraph(n, edges))
+        assert (got.value, got.witness) == oracles.hypergraph_toughness(n, edges)
+
+
+def test_toughness_witness_off_the_visit_order():
+    # Deleting vertex 1 or vertex 2 leaves 2 components, and no cutset
+    # does better.  Vertex 2 has the higher degree, so the search
+    # reaches {2} first; the witness is still the least tuple, (1,).
+    edges = [(0, 2), (0, 6), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 4)]
+    tv = toughness(Hypergraph(7, edges))
+    assert (tv.value, tv.witness) == (Fraction(1, 2), (1,))
+    assert (tv.value, tv.witness) == oracles.hypergraph_toughness(7, edges)
+
+
 def test_toughness_witness_among_ties():
     # Witnesses from the oracle.  From C6 on, larger cutsets of a cycle
     # (every other vertex) also reach ratio 1; the Petersen graph has
@@ -196,54 +220,57 @@ def test_toughness_witness_among_ties():
         assert toughness(cycle(n)).witness == (0, 2)
     tv = toughness(petersen())
     assert (tv.value, tv.witness) == (Fraction(4, 3), (0, 2, 8, 9))
+    # At the default budget's edge, every level up to 9 is searched.
+    tv = toughness(cycle(20))
+    assert (tv.value, tv.witness) == (1, (0, 2))
+
+
+def _record_levels(monkeypatch):
+    """Log (size, nodes, leaves) for each level `toughness` searches."""
+    log = []
+    search = hypergraph._search_level
+
+    def recording(plan, size, need, best):
+        best, nodes, leaves = search(plan, size, need, best)
+        log.append((size, nodes, leaves))
+        return best, nodes, leaves
+
+    monkeypatch.setattr(hypergraph, "_search_level", recording)
+    return log
 
 
 def test_toughness_stops_at_survivor_bound(monkeypatch):
-    calls = 0
-    kernel = hypergraph._component_count
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(hypergraph, "_component_count", counting)
-    # The empty set, then the 13 singletons: deleting the center leaves
-    # 12 components, and no 2-set can beat 1/12 with at most 11.
+    log = _record_levels(monkeypatch)
+    # Levels 0 and 1: deleting the center leaves 12 components, and no
+    # 2-set can beat 1/12 with at most 11.
     assert toughness(star(12)).value == Fraction(1, 12)
-    assert calls == 14
-    # Infinite toughness is the pair condition: no scan at all.
-    calls = 0
+    assert [size for size, _, _ in log] == [0, 1]
+    # Infinite toughness is the pair condition: no search at all.
+    log.clear()
     assert toughness(complete_graph(6)).infinite
-    assert calls == 0
-    # One pair short of complete: the scan runs and stops after level 4
-    # (ratio 4/2 = 2, and 5 / (6 - 5) cannot beat it).
-    calls = 0
+    assert log == []
+    # One pair short of complete: the search runs and stops after level
+    # 4 (ratio 4/2 = 2, and 5 / (6 - 5) cannot beat it).
+    log.clear()
     k6_less_one = Hypergraph(6, complete_graph(6).edges[1:])
     assert toughness(k6_less_one) == ToughnessValue(Fraction(2), (2, 3, 4, 5))
-    assert calls == 57
+    assert [size for size, _, _ in log] == [0, 1, 2, 3, 4]
 
 
 def test_toughness_count_stops_below_need(monkeypatch):
-    # Same cutsets as the full count, fewer union-find finds: a count
-    # stops once it falls below the components that could improve or
-    # tie the best ratio.  Full counts would make `full` finds.
-    calls = 0
-    find = hypergraph._find
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return find(*args)
-
-    monkeypatch.setattr(hypergraph, "_find", counting)
-    for n, value, want, full in ((6, Fraction(2), 256, 448),
-                                 (8, Fraction(3), 1536, 3456)):
-        calls = 0
+    # Same value and witness as a full scan, from fewer full cutsets: a
+    # partial cutset is dropped once its components so far plus its
+    # vertices still to survive fall below those that could improve or
+    # tie the best ratio.  Only the witness itself is reached as a full
+    # cutset; a full scan would reach all C(n, s) at each level.
+    log = _record_levels(monkeypatch)
+    for n, value in ((6, Fraction(2)), (8, Fraction(3))):
+        log.clear()
         less_one = Hypergraph(n, complete_graph(n).edges[1:])
         assert toughness(less_one) == ToughnessValue(
             value, tuple(range(2, n)))
-        assert calls == want < full
+        assert [leaves for _, _, leaves in log] == [0] * (n - 2) + [1]
+        assert all(leaves < comb(n, size) for size, _, leaves in log)
 
 
 def test_toughness_budget_refusal():
