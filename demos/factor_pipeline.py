@@ -33,12 +33,15 @@ def main():
 
     # The gadget itself is inspectable: each incidence becomes an edge
     # between two ends, each hyperedge a pair joined to its ends, and
-    # each vertex k copies joined to its ends.
+    # each vertex k copies joined to its ends.  A hyperedge of size 2,
+    # as every edge of P4 is, is contracted to one edge between its two
+    # vertices' ends, which both of its incidences share.
     g = incidence_graph(p4)
     gadget = build_gadget(g, DegreeSpec(1))
     print(f"  gadget: {gadget.graph.n} vertices, "
           f"{len(gadget.graph.edges)} edges, "
-          f"{len(gadget.inter_edges)} of them host incidences")
+          f"{len(set(gadget.inter_edges.values()))} of them carry the "
+          f"{len(gadget.inter_edges)} host incidences")
 
     # Negative case: the star has no Berge-1-factor, so the solver
     # returns nothing and the scan in parity_barriers.py explains why.

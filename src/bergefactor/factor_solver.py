@@ -13,8 +13,15 @@ and 0 or 2 at each X-vertex, which is a (2,k)-factor, and every factor
 arises this way.  An X-vertex of degree 1 cannot fill its pair and takes
 degree 0.
 
-The gadget has 2|E| + 2|X| + k|Y| vertices and (k+3)|E| + |X| edges for
-|E| incidences, for every host: a Y-vertex of host degree < k leaves
+An X-vertex of degree 2 gets neither ends nor a pair: one edge joins the
+ends e_y of its two incidences, and leaving that edge unmatched selects
+both, as Tutte's f-factor reduction does for a graph edge.  Where the
+full block would match exactly one of its two incidence edges and so
+leave one of its own vertices exposed, the contracted gadget leaves that
+incidence's e_y exposed instead, so |V| - 2 nu is the same for every
+host.  With |X_2| such X-vertices the gadget has
+2|E| + 2|X| + k|Y| - 4|X_2| vertices and (k+3)|E| + |X| - 6|X_2| edges
+for |E| incidences, for every host: a Y-vertex of host degree < k leaves
 copies exposed, so its gadget has no perfect matching.  `find_2k_factor`
 checks for such a vertex first (`sparse_y_vertex`) and answers None
 without building the gadget.
@@ -26,9 +33,10 @@ order, takes the two Y-neighbours with the most remaining need (k at
 first), or none when fewer than two still need one.  Encoded as a
 matching, a selected incidence's e_x is matched into its pair, every
 other e_x to its e_y, and the pair of an X-vertex that takes none to
-itself.  The matcher's greedy pass then gives each free e_y a copy, and
-only the copies that remain exposed, one per unit of need the selection
-left, are the roots of its first forest phase.
+itself; a contracted X-vertex that takes none has its edge matched.
+The matcher's greedy pass then gives each free e_y a copy, and only the
+copies that remain exposed, one per unit of need the selection left,
+are the roots of its first forest phase.
 """
 
 from __future__ import annotations
@@ -48,7 +56,9 @@ class GadgetGraph:
     """The matching gadget; `owner` gives the host vertex (global id) of
     each gadget vertex, `inter_edges` maps each host edge (x, nx + y)
     to its incidence edge (e_x, e_y) in the gadget, and `start` is the
-    warm-start matching as a mate array (-1 for an exposed vertex)."""
+    warm-start matching as a mate array (-1 for an exposed vertex).  A
+    degree-2 X-vertex owns no gadget vertex, and both its host edges map
+    to the one edge joining their two Y-ends."""
 
     graph: GeneralGraph
     owner: tuple[int, ...]
@@ -81,18 +91,18 @@ def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
 def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
     """Expand the host graph into the split-incidence gadget; a Y-vertex
     of degree below k is built too and leaves copies exposed.  Vertex ids
-    follow host-vertex order: an X-vertex owns its incidence ends in
-    neighbor order, then its pair; a Y-vertex owns its ends in X order,
-    then its k copies.  Every id is computed up front, so one pass over
-    the host vertices writes each vertex's ascending neighbour tuple and
-    the warm start (see the module docstring)."""
+    follow host-vertex order: an X-vertex of degree other than 2 owns its
+    incidence ends in neighbor order, then its pair; a Y-vertex owns its
+    ends in X order, then its k copies.  Every id is computed up front,
+    so one pass over the host vertices writes each vertex's ascending
+    neighbour tuple and the warm start (see the module docstring)."""
     nx = g.x_count
     k = spec.k
     # First free Y-end of each Y-block, advanced as X-vertices claim
     # them, and the copies of each Y-vertex.
     y_next: list[int] = []
     copies: list[tuple[int, ...]] = []
-    v = sum(len(ys) for ys in g.neighbors) + 2 * nx
+    v = sum(len(ys) + 2 for ys in g.neighbors if len(ys) != 2)
     for xs in g.y_neighbors:
         y_next.append(v)
         v += len(xs) + k
@@ -103,6 +113,23 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
     owner: list[int] = []
     inter: dict[tuple[int, int], tuple[int, int]] = {}
     for x, ys in enumerate(g.neighbors):
+        if len(ys) == 2:
+            # No block: one edge joins the two Y-ends, left unmatched
+            # when x is selected.
+            y1, y2 = ys
+            a, b = y_next[y1], y_next[y2]
+            y_next[y1] += 1
+            y_next[y2] += 1
+            inter[x, nx + y1] = inter[x, nx + y2] = (a, b)
+            adj[a] = copies[y1] + (b,)
+            adj[b] = (a,) + copies[y2]
+            if need[y1] > 0 and need[y2] > 0:
+                need[y1] -= 1
+                need[y2] -= 1
+            else:
+                start[a] = b
+                start[b] = a
+            continue
         e = len(owner)
         pair = e + len(ys)
         owner += [x] * (len(ys) + 2)
@@ -152,10 +179,11 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     """Search for a (2,k)-factor of the host graph; None when there is
     none.  A Y-vertex of degree below k answers None before the gadget
     is built.  Otherwise the factor is read off a perfect matching of
-    the gadget, and the matcher's first phase or search that augments
-    nothing already shows there is no factor.  A factor is checked by
-    `verify_2k_factor` before it is returned.  `trace` receives progress
-    lines."""
+    the gadget: the host edges whose incidence edge is left unmatched,
+    both at once for a contracted X-vertex.  A matcher phase that
+    augments nothing ends on a Hungarian forest and shows there is no
+    factor.  A factor is checked by `verify_2k_factor` before it is
+    returned.  `trace` receives progress lines."""
     y = sparse_y_vertex(g, spec)
     if y is not None:
         if trace:
@@ -166,7 +194,7 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     gg = gadget.graph
     if trace:
         trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
-              f"({len(gadget.inter_edges)} incidence edges)")
+              f"({len(set(gadget.inter_edges.values()))} incidence edges)")
     matching = perfect_matching(gg, gadget.start)
     if matching is None:
         if trace:

@@ -16,13 +16,9 @@ adjacency, so equal inputs always produce equal matchings.
 
 `max_matching` searches one root at a time, each exposed vertex in id
 order; a root with no augmenting path gains none later.
-`perfect_matching` runs phases from every exposed vertex while each at
-least halves the exposed set; a phase that augments nothing ends on a
-Hungarian forest.  Past the first phase that does not halve it, the
-few roots left are searched one at a time in id order, up to the first
-that fails, which needs no full forest: if a perfect matching M*
-existed, the component of M's symmetric difference with M* at that
-root would be an augmenting path from it (Berge).
+`perfect_matching` runs phases, each from every vertex the last one
+left exposed, until none is left or a phase augments nothing: that
+phase's forest is Hungarian, so no perfect matching exists.
 """
 
 from __future__ import annotations
@@ -269,10 +265,9 @@ def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
     pass extends `start`, a mate array (start[v] is v's mate, -1 when v
     is exposed) of edges of `g`, or the empty matching when it is None,
     so the result depends on `start`.  Forest phases from every exposed
-    vertex follow while each at least halves the exposed set, then
-    single-root searches in id order; the first phase or search that
-    augments nothing answers None (see the module docstring).  A
-    `start` that is not a matching of `g` raises ValueError."""
+    vertex follow until the matching is perfect; a phase that augments
+    nothing ends on a Hungarian forest and answers None.  A `start` that
+    is not a matching of `g` raises ValueError."""
     n = g.n
     adj = g.adjacency
     if start is None:
@@ -293,11 +288,5 @@ def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
     while roots:
         if not _augment_from(roots, adj, match, identity):
             return None
-        left = [v for v in roots if match[v] == -1]
-        if 2 * len(left) > len(roots):
-            break
-        roots = left
-    for v in roots:
-        if match[v] == -1 and not _augment_from([v], adj, match, identity):
-            return None
+        roots = [v for v in roots if match[v] == -1]
     return _matching_of(match)

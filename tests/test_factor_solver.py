@@ -1,6 +1,7 @@
 """Gadget reduction, factor extraction, and certificate lifting."""
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,6 +15,7 @@ from bergefactor import (
     decide_by_criterion,
     deficiency_scan,
     enumerate_bipartite_graphs,
+    enumerate_graph_edge_sets,
     find_2k_factor,
     find_berge_k_factor,
     incidence_graph,
@@ -43,8 +45,9 @@ def _random_bipartite(rng, nx_hi=4, ny_hi=5):
 
 
 def test_gadget_sizes():
-    # split-incidence layout: an X-vertex owns its d_x incidence ends and
-    # a pair, a Y-vertex its d_y ends and k copies
+    # split-incidence layout: an X-vertex of degree d_x != 2 owns its d_x
+    # incidence ends and a pair, one of degree 2 owns nothing (its two
+    # incidences share one edge), a Y-vertex owns its d_y ends and k copies
     rng = random.Random(47)
     for _ in range(30):
         g = _random_bipartite(rng)
@@ -54,11 +57,14 @@ def test_gadget_sizes():
         owned = [0] * (nx + ny)
         for host in gg.owner:
             owned[host] += 1
-        assert owned[:nx] == [len(g.neighbors[x]) + 2 for x in range(nx)]
+        degrees = [len(row) for row in g.neighbors]
+        blocks = [d for d in degrees if d != 2]
+        assert owned[:nx] == [0 if d == 2 else d + 2 for d in degrees]
         assert owned[nx:] == [len(g.y_neighbors[y]) + k for y in range(ny)]
-        inc = sum(len(row) for row in g.neighbors)
-        assert gg.graph.n == 2 * inc + 2 * nx + k * ny
-        assert len(gg.graph.edges) == (k + 3) * inc + nx
+        inc = sum(degrees)
+        assert gg.graph.n == sum(d + 2 for d in blocks) + inc + k * ny
+        assert len(gg.graph.edges) == (sum(3 * d + 1 for d in blocks)
+                                       + nx - len(blocks) + k * inc)
         assert len(gg.inter_edges) == inc
 
     # X-host of degree 3 at k = 1: 3 ends + a pair; each Y of degree 1
@@ -73,21 +79,21 @@ def test_gadget_sizes():
 
 
 def test_gadget_layout():
-    # the vertex numbering fixes max_matching's scan order, and so the
+    # the vertex numbering fixes the matcher's scan order, and so the
     # factor it returns: X-blocks (ends in neighbor order, then the
-    # pair), then Y-blocks (ends in X order, then the k copies)
-    g = BipartiteGraph(2, 2, [(0, 1), (0, 1)])
-    gg = build_gadget(g, DegreeSpec(2))
-    assert gg.owner == (0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3)
-    assert gg.graph.n == 16
+    # pair), then Y-blocks (ends in X order, then the k copies); the
+    # degree-2 X-vertex 0 has no block, one edge joins its two Y-ends
+    g = BipartiteGraph(2, 3, [(0, 2), (0, 1, 2)])
+    gg = build_gadget(g, DegreeSpec(1))
+    assert gg.owner == (1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4)
+    assert gg.graph.n == 13
     assert gg.graph.edges == (
-        (0, 2), (0, 3), (0, 8), (1, 2), (1, 3), (1, 12), (2, 3),
-        (4, 6), (4, 7), (4, 9), (5, 6), (5, 7), (5, 13), (6, 7),
-        (8, 10), (8, 11), (9, 10), (9, 11),
-        (12, 14), (12, 15), (13, 14), (13, 15))
+        (0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 8),
+        (2, 3), (2, 4), (2, 11), (3, 4),
+        (5, 7), (5, 10), (6, 7), (8, 9), (10, 12), (11, 12))
     assert list(gg.inter_edges.items()) == [
-        ((0, 2), (0, 8)), ((0, 3), (1, 12)),
-        ((1, 2), (4, 9)), ((1, 3), (5, 13))]
+        ((0, 2), (5, 10)), ((0, 4), (5, 10)),
+        ((1, 2), (0, 6)), ((1, 3), (1, 8)), ((1, 4), (2, 11))]
 
 
 def test_degree_one_x_takes_degree_zero():
@@ -156,14 +162,89 @@ def test_warm_start_is_a_matching_within_need():
         edges = set(gg.edges)
         for v, w in enumerate(start):
             assert w == -1 or (min(v, w), max(v, w)) in edges, (g, spec, v)
-        # an incidence is taken when its e_x is matched into x's pair
+        # an incidence is taken when its incidence edge is not in the start
         taken = [0] * g.y_count
-        for (x, y), (ex, _) in gadget.inter_edges.items():
-            if start[ex] != -1 and gadget.owner[start[ex]] == x:
+        for (x, y), (ex, ey) in gadget.inter_edges.items():
+            if start[ex] != ey:
                 taken[y - g.x_count] += 1
         assert max(taken, default=0) <= spec.k, (g, spec)
         warm = perfect_matching(gg, start)
         assert (warm is None) == (perfect_matching(gg) is None), (g, spec)
+
+
+def _graph_classes(n):
+    # one labelled graph per isomorphism class on n vertices: each new
+    # edge mask marks its whole orbit under the n! relabellings as seen
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    maps = [[index[min(s[u], s[v]), max(s[u], s[v])] for u, v in pairs]
+            for s in permutations(range(n))]
+    seen = bytearray(1 << len(pairs))
+    for mask in range(len(seen)):
+        if not seen[mask]:
+            bits = [i for i in range(len(pairs)) if mask >> i & 1]
+            for m in maps:
+                seen[sum(1 << m[i] for i in bits)] = 1
+            yield Hypergraph(n, [pairs[i] for i in bits])
+
+
+def _contraction_hosts():
+    # graph hosts, where every X-vertex has degree 2 and is contracted:
+    # every labelled graph on n <= 5 vertices and every isomorphism class
+    # on 6; then 300 seeded random hypergraphs with edge sizes 1-4, which
+    # mix contracted X-vertices with blocks; sparse hosts included, at
+    # k = 1..3
+    for n in range(1, 6):
+        for h in enumerate_graph_edge_sets(n):
+            for k in (1, 2, 3):
+                yield incidence_graph(h), DegreeSpec(k)
+    for h in _graph_classes(6):
+        for k in (1, 2, 3):
+            yield incidence_graph(h), DegreeSpec(k)
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        edges = [rng.sample(range(n), rng.randint(1, min(4, n)))
+                 for _ in range(rng.randint(1, 8))]
+        yield incidence_graph(Hypergraph(n, edges)), DegreeSpec(rng.randint(1, 3))
+
+
+def test_contracted_gadget_is_exact():
+    # contracting degree-2 X-vertices keeps the gadget's deficiency
+    # |V| - 2 nu equal to the full split-incidence gadget's, and the
+    # factor search agrees with backtracking
+    hosts = mixed = 0
+    for g, spec in _contraction_hosts():
+        gg = build_gadget(g, spec).graph
+        got = gg.n - 2 * len(max_matching(gg))
+        assert got == oracles.gadget_deficiency(g, spec.k), (g, spec)
+        f = find_2k_factor(g, spec)
+        want = oracles.has_2k_factor(g.x_count, g.y_count, g.neighbors, spec.k)
+        assert (f is not None) == want, (g, spec)
+        hosts += 1
+        kinds = {len(ys) == 2 for ys in g.neighbors}
+        mixed += len(kinds) == 2
+    assert hosts == 3 * (1 + 2 + 8 + 64 + 1024 + 156) + 300
+    assert mixed == 211  # random hosts with both kinds of X-vertex
+
+
+def test_degree_two_x_shares_one_edge():
+    # a degree-2 X-vertex owns no gadget vertex, and both its incidences
+    # map to the one edge joining its two Y-ends
+    shared = 0
+    for g, spec in _contraction_hosts():
+        gadget = build_gadget(g, spec)
+        edges = set(gadget.graph.edges)
+        owners = set(gadget.owner)
+        for x, ys in enumerate(g.neighbors):
+            ends = [gadget.inter_edges[x, g.x_count + y] for y in ys]
+            assert all(e in edges for e in ends), (g, spec, x)
+            if len(ys) == 2:
+                assert ends[0] == ends[1] and x not in owners, (g, spec, x)
+                shared += 1
+            else:
+                assert len(set(ends)) == len(ys) and x in owners, (g, spec, x)
+    assert shared > 0
 
 
 def test_gadget_isolated_x_allowed():

@@ -159,8 +159,8 @@ def kernel_calls(monkeypatch):
     # Hungarian, so there is no factor and no search follows
     (star(4), 1, [(3, 0)]),
     (complete_bipartite(2, 4), 2, [(4, 0)]),
-    # four roots: the first phase joins two trees, which halves the
-    # exposed set, and the second phase joins the last two
+    # four roots: the first phase joins two trees, and the second phase,
+    # from the two roots still exposed, joins the last two
     (complete_graph(6), 3, [(4, 2), (2, 2)]),
     # three roots: one augmentation leaves one, whose phase fails
     (complete_graph(5), 3, [(3, 2), (1, 0)]),
@@ -188,12 +188,23 @@ def test_trees_meet_between_non_base_blossom_vertices(kernel_calls):
     assert kernel_calls == [(2, 2)]
 
 
-def test_perfect_matching_from_random_maximal_starts(kernel_calls):
-    # Random maximal matchings as warm starts reach repeated phases and
-    # the switch to single-root searches, on graphs with and without a
-    # perfect matching.
+def test_perfect_matching_from_random_maximal_starts(monkeypatch):
+    # Random maximal matchings as warm starts reach repeated phases, on
+    # graphs with and without a perfect matching.  Each phase starts from
+    # exactly the roots the previous one left exposed, and a graph with
+    # no perfect matching ends on a phase that retires nothing.
+    calls = []  # (roots, trees retired, roots left exposed)
+    search = matching._augment_from
+
+    def recorded(roots, adj, match, identity):
+        retired = search(roots, adj, match, identity)
+        calls.append((list(roots), retired,
+                      [v for v in roots if match[v] == -1]))
+        return retired
+
+    monkeypatch.setattr(matching, "_augment_from", recorded)
     rng = random.Random(31)
-    phased = switched = 0
+    phased = failed = 0
     for _ in range(2000):
         n = rng.randint(10, 40)
         density = rng.choice((0.05, 0.1, 0.2, 0.35, 0.6))
@@ -204,14 +215,20 @@ def test_perfect_matching_from_random_maximal_starts(kernel_calls):
             if start[u] == -1 and start[w] == -1:
                 start[u], start[w] = w, u
         given = list(start)
-        kernel_calls.clear()
+        calls.clear()
         pm = perfect_matching(g, start)
         assert start == given
         size = len(oracles.max_matching_reference(g))
         assert (pm is None) == (2 * size != n)
         assert pm is None or is_perfect(g, pm)
-        phased += sum(a > 1 for a, _ in kernel_calls) > 1
-        # a phase that augmented but left more than half its roots
-        # exposed hands over to single-root searches
-        switched += any(r and 2 * (a - r) > a for a, r in kernel_calls)
-    assert phased and switched
+        # the start is maximal, so the greedy pass adds nothing to it
+        exposed = [v for v in range(n) if given[v] == -1]
+        assert calls[0][0] == exposed if exposed else not calls
+        for (_, _, left), (roots, _, _) in zip(calls, calls[1:]):
+            assert roots == left
+        assert all(retired for _, retired, _ in calls[:-1])
+        if pm is None:
+            assert calls[-1][1] == 0
+            failed += 1
+        phased += len(calls) > 1
+    assert phased and failed

@@ -11,6 +11,8 @@ search kernel `matching._augment_from`; TIMED_PASSES more passes time
 the matcher alone.  Prints one `key=value` line each:
 
     gadgets        gadgets built
+    gadget_vertices  vertices per gadget, mean
+    gadget_edges   edges per gadget, mean
     perfect        gadgets with a perfect matching
     phases         kernel calls with more than one root
     single_root    kernel calls with one root
@@ -87,11 +89,14 @@ def main(argv: list[str] | None = None) -> int:
             matching.perfect_matching(gd.graph, gd.start)
         best = min(best, time.perf_counter() - t0)
 
+    per = max(1, len(built))
     print(f"gadgets={len(built)}")
+    print(f"gadget_vertices={sum(gd.graph.n for gd in built) / per:.1f}")
+    print(f"gadget_edges={sum(len(gd.graph.edges) for gd in built) / per:.1f}")
     print(f"perfect={perfect}")
     for key, value in counts.items():
         print(f"{key}={value}")
-    print(f"matcher_ms={1000 * best / max(1, len(built)):.3f}")
+    print(f"matcher_ms={1000 * best / per:.3f}")
     return 0
 
 
