@@ -98,6 +98,35 @@ def test_big_errors():
             parse_big(text)
 
 
+# A file with several faults reports one of them, and which one is part
+# of the format's contract: a bad or unordered line anywhere (then
+# trailing content, then a negative n) wins over an out-of-range vertex
+# on an earlier line, and the first out-of-range line is the one named.
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_hg, "3 2\n0 5\n1 0\n",
+     "edge vertices not in strictly ascending order: [1, 0]"),
+    (parse_hg, "3 2\n0 5\nx 1\n", "bad edge line: 'x 1'"),
+    (parse_hg, "-1 2\n0\n0 1\n", "vertex count must be non-negative"),
+    (parse_hg, "3 2\n0 1\n2 3\n",
+     "edge 1 references a vertex outside 0..2: (2, 3)"),
+    (parse_hg, "3 2\n0 3\n-1 2\n",
+     "edge 0 references a vertex outside 0..2: (0, 3)"),
+    (parse_hg, "2 1\n7\n", "edge 0 references a vertex outside 0..1: (7,)"),
+    (parse_big, "2 2\n0 2\n1\n",
+     "X-vertex 0 has a neighbor outside 0..1: (0, 2)"),
+    (parse_big, "2 2\n-1 0\n\n",
+     "X-vertex 0 has a neighbor outside 0..1: (-1, 0)"),
+    (parse_big, "2 2\n0 2\n1 0\n",
+     "neighbors not in strictly ascending order: [1, 0]"),
+    (parse_big, "2 2\n0 2\n1 x\n", "bad neighbor line: '1 x'"),
+    (parse_big, "1 2\n2\n0\n", "trailing content: '0'"),
+])
+def test_first_fault_reported(parse, text, message):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------------- .bkf
 
 

@@ -9,7 +9,9 @@ hash of the records and counts of `deficiency_scan` with and without
 the biased pair.
 The `tough*.hg` files, random hypergraphs with 11 to 14 vertices, go
 through `toughness` and `y-toughness` only: they cover the sizes at
-which the toughness scan prunes most.  Last come the two commands that
+which the toughness scan prunes most.  The malformed `bad_*` files go
+through `factor` and `criterion` at k = 1 only, which pins the exit
+code and the bytes of each parse error.  Last come the two commands that
 draw from the package's random hypergraph generator: `theorem
 --porcelain` exhaustively with n <= 4 at k = 1, 2 and once in random
 mode, and one small `tightness --porcelain` run whose stream goes past
@@ -61,7 +63,8 @@ def big_text(ny: int, rows) -> str:
 
 def corpus() -> dict[str, str]:
     """File name -> text: named families, random files with at most 14
-    vertices in the incidence view, then the larger `tough*.hg` files."""
+    vertices in the incidence view, the larger `tough*.hg` files, then
+    malformed files, some with a second fault that the first hides."""
     files = {}
     for n in range(2, 7):
         files[f"path{n}.hg"] = hg_text(n, [(i, i + 1) for i in range(n - 1)])
@@ -103,6 +106,12 @@ def corpus() -> dict[str, str]:
         edges = [rng.sample(range(n), rng.randint(2, 6))
                  for _ in range(rng.randint(n, 3 * n))]
         files[f"tough{i:02d}.hg"] = hg_text(n, edges)
+    files["bad_int.hg"] = "3 2\n0 5\n1 x\n"
+    files["bad_order.hg"] = "3 2\n0 5\n2 1\n"
+    files["bad_range.hg"] = "3 3\n0 1\n1 3\n0 4\n"
+    files["bad_negative.hg"] = "-2 1\n0 1\n"
+    files["bad_range.big"] = "2 2\n0 2\n1\n"
+    files["bad_trailing.big"] = "1 2\n2\n0 1\n"
     return files
 
 
@@ -149,6 +158,10 @@ def sweep() -> None:
     for name, text in corpus().items():
         Path(name).write_text(text)
         stem = name.replace(".", "_")
+        if name.startswith("bad_"):
+            run(["factor", name, "-k", "1"])
+            run(["criterion", name, "-k", "1"])
+            continue
         run(["toughness", name])
         run(["y-toughness", name])
         if name.startswith("tough"):
