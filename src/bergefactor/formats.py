@@ -7,6 +7,10 @@ newline) so equal objects produce identical bytes.  Lines starting with
 .bar they are positional (an empty neighborhood or empty A/B set is a
 blank line).
 
+Each .hg edge line and .big neighbor line is checked once, here, in one
+pass (ints, strictly ascending, in range), and handed unchecked to the
+trusted `Hypergraph._canonical` or `BipartiteGraph._canonical`.
+
 Hyperedges in a .hg file are serialized in ascending order, so edge
 indices of a file written here are the sorted order; parsing preserves
 the file's line order as the edge indexing.
@@ -14,6 +18,7 @@ the file's line order as the edge indexing.
 
 from __future__ import annotations
 
+from operator import lt
 from pathlib import Path
 
 from .hypergraph import BergeFactorCertificate, Hypergraph
@@ -25,9 +30,9 @@ class FormatError(ValueError):
     """Malformed input text for one of the package's file formats."""
 
 
-def _ints(line: str, what: str) -> list[int]:
+def _ints(line: str, what: str) -> tuple[int, ...]:
     try:
-        return [int(t) for t in line.split()]
+        return tuple(map(int, line.split()))
     except ValueError:
         raise FormatError(f"bad {what} line: {line!r}") from None
 
@@ -43,9 +48,36 @@ def _positional(text: str) -> list[str]:
     return [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
 
 
-def _ascending(vals: list[int], what: str) -> None:
-    if any(a >= b for a, b in zip(vals, vals[1:])):
-        raise FormatError(f"{what} not in strictly ascending order: {vals}")
+def _ascending(vals: tuple[int, ...], what: str) -> None:
+    if not all(map(lt, vals, vals[1:])):
+        raise FormatError(
+            f"{what} not in strictly ascending order: {list(vals)}")
+
+
+def _rows(lines: list[str], what: str, order_what: str, size: int
+          ) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Each line as a strictly ascending int tuple, and whether every
+    value lies in 0..size-1.  A bad or unordered line raises at once; a
+    value out of range is left to `_model`, after the caller's checks."""
+    rows = []
+    in_range = True
+    for ln in lines:
+        vs = _ints(ln, what)
+        _ascending(vs, order_what)
+        if in_range and vs and (vs[0] < 0 or vs[-1] >= size):
+            in_range = False
+        rows.append(vs)
+    return tuple(rows), in_range
+
+
+def _model(cls, args: tuple, trusted: bool) -> Hypergraph | BipartiteGraph:
+    """`cls._canonical(*args)` when the parser has checked every row;
+    otherwise the validating `cls(*args)`, whose first fault is
+    re-raised as a FormatError with the same message."""
+    try:
+        return cls._canonical(*args) if trusted else cls(*args)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 def parse_hg(text: str) -> Hypergraph:
@@ -58,15 +90,8 @@ def parse_hg(text: str) -> Hypergraph:
     n, m = head
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        vs = _ints(ln, "edge")
-        _ascending(vs, "edge vertices")
-        edges.append(vs)
-    try:
-        return Hypergraph(n, edges)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    edges, in_range = _rows(lines[1:], "edge", "edge vertices", n)
+    return _model(Hypergraph, (n, edges), in_range and n >= 0)
 
 
 def serialize_hg(h: Hypergraph) -> str:
@@ -89,18 +114,11 @@ def parse_big(text: str) -> BipartiteGraph:
         raise FormatError(f"header '|X| |Y|' must be non-negative, got {lines[0]!r}")
     if len(lines) - 1 < nx:
         raise FormatError(f"expected {nx} neighbor lines, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:1 + nx]:
-        vs = _ints(ln, "neighbor")
-        _ascending(vs, "neighbors")
-        rows.append(vs)
+    rows, in_range = _rows(lines[1:1 + nx], "neighbor", "neighbors", ny)
     for ln in lines[1 + nx:]:
         if ln.strip():
             raise FormatError(f"trailing content: {ln!r}")
-    try:
-        return BipartiteGraph(nx, ny, rows)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    return _model(BipartiteGraph, (nx, ny, rows), in_range)
 
 
 def serialize_big(g: BipartiteGraph) -> str:
@@ -166,11 +184,11 @@ def parse_bar(text: str) -> Barrier:
             raise FormatError(f"component line size mismatch: {ln!r}")
         vs = vals[1:]
         _ascending(vs, "component vertices")
-        comps.append(Component(tuple(vs), toks[0] == "odd"))
+        comps.append(Component(vs, toks[0] == "odd"))
     order = [c.vertices[0] for c in comps]
     if order != sorted(order):
         raise FormatError("components not sorted by smallest member")
-    return Barrier(tuple(a), tuple(b), dlt, tuple(comps))
+    return Barrier(a, b, dlt, tuple(comps))
 
 
 def serialize_bar(br: Barrier) -> str:

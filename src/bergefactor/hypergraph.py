@@ -21,7 +21,9 @@ from ._bits import bit_tuple, mask_of
 
 
 class Hypergraph:
-    """n vertices plus an ordered multiset of nonempty hyperedges."""
+    """n vertices plus an ordered multiset of nonempty hyperedges.
+    The constructor checks and sorts its input; `_canonical` trusts a
+    caller that has done so (the parser, `hypergraph_of`)."""
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
@@ -39,6 +41,16 @@ class Hypergraph:
             canon.append(vs)
         self.n = n
         self.edges: tuple[tuple[int, ...], ...] = tuple(canon)
+
+    @classmethod
+    def _canonical(cls, n: int, edges: tuple[tuple[int, ...], ...]
+                   ) -> "Hypergraph":
+        """Wrap `edges` unchecked.  The caller guarantees what `__init__`
+        would establish: n >= 0, and `edges` a tuple of nonempty, strictly
+        ascending int tuples with every vertex in 0..n-1."""
+        h = cls.__new__(cls)
+        h.n, h.edges = n, edges
+        return h
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:

@@ -20,7 +20,9 @@ from .hypergraph import Hypergraph, ToughnessValue, toughness
 
 
 class BipartiteGraph:
-    """Bipartite graph given by each X-vertex's sorted Y-neighborhood."""
+    """Bipartite graph given by each X-vertex's sorted Y-neighborhood.
+    The constructor checks and sorts its input; `_canonical` trusts a
+    caller that has done so (the parser, `incidence_graph`)."""
 
     def __init__(self, x_count: int, y_count: int,
                  neighbors: Iterable[Iterable[int]] = ()):
@@ -40,6 +42,17 @@ class BipartiteGraph:
         self.x_count = x_count
         self.y_count = y_count
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(canon)
+
+    @classmethod
+    def _canonical(cls, x_count: int, y_count: int,
+                   neighbors: tuple[tuple[int, ...], ...]) -> "BipartiteGraph":
+        """Wrap `neighbors` unchecked.  The caller guarantees what
+        `__init__` would establish: both sides non-negative, and
+        `neighbors` a tuple of x_count strictly ascending int tuples with
+        every neighbor in 0..y_count-1."""
+        g = cls.__new__(cls)
+        g.x_count, g.y_count, g.neighbors = x_count, y_count, neighbors
+        return g
 
     @cached_property
     def y_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -67,7 +80,7 @@ def incidence_graph(h: Hypergraph) -> BipartiteGraph:
     """Bipartite graph with X = edge positions of `h`, Y = vertices of
     `h`, adjacency by containment.  Edge multiplicity survives as
     X-vertices with equal neighborhoods."""
-    return BipartiteGraph(len(h.edges), h.n, h.edges)
+    return BipartiteGraph._canonical(len(h.edges), h.n, h.edges)
 
 
 def hypergraph_of(g: BipartiteGraph) -> Hypergraph:
@@ -78,7 +91,7 @@ def hypergraph_of(g: BipartiteGraph) -> Hypergraph:
         if not nbrs:
             raise ValueError(
                 f"not hypergraph-representable: X-vertex {x} is isolated")
-    return Hypergraph(g.y_count, g.neighbors)
+    return Hypergraph._canonical(g.y_count, g.neighbors)
 
 
 def y_toughness(g: BipartiteGraph, budget: int | None = None) -> ToughnessValue:

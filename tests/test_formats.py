@@ -1,5 +1,7 @@
 """Text formats: parsing, serialization, and loaders."""
 
+import random
+
 import pytest
 
 from bergefactor import (
@@ -10,6 +12,7 @@ from bergefactor import (
     FormatError,
     Hypergraph,
     delta,
+    hypergraph_of,
     incidence_graph,
     load_barrier,
     load_bipartite,
@@ -107,6 +110,7 @@ def test_big_errors():
      "edge vertices not in strictly ascending order: [1, 0]"),
     (parse_hg, "3 2\n0 5\nx 1\n", "bad edge line: 'x 1'"),
     (parse_hg, "-1 2\n0\n0 1\n", "vertex count must be non-negative"),
+    (parse_hg, "-1 0\n", "vertex count must be non-negative"),
     (parse_hg, "3 2\n0 1\n2 3\n",
      "edge 1 references a vertex outside 0..2: (2, 3)"),
     (parse_hg, "3 2\n0 3\n-1 2\n",
@@ -125,6 +129,57 @@ def test_first_fault_reported(parse, text, message):
     with pytest.raises(FormatError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+def _random_rows(rng, n: int) -> list[tuple[int, ...]]:
+    """1-12 sorted rows over 0..n-1 of size 1-6, some repeated."""
+    rows = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(6, n)))))
+            for _ in range(rng.randint(1, 8))]
+    rows += rng.choices(rows, k=rng.randint(0, 4))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_parsers_build_what_the_validating_constructors_build(tmp_path):
+    rng = random.Random(20261020)
+    for trial in range(200):
+        n = rng.randint(1, 14)
+        rows = _random_rows(rng, n)
+        body = "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+        h = parse_hg(f"{n} {len(rows)}\n" + body)
+        assert h == Hypergraph(n, rows)
+        assert hash(h) == hash(Hypergraph(n, rows))
+        assert type(h.edges) is tuple
+        assert all(type(e) is tuple and all(type(v) is int for v in e)
+                   for e in h.edges)
+        g = incidence_graph(h)
+        assert g == BipartiteGraph(len(h.edges), h.n, h.edges)
+        assert hash(g) == hash(BipartiteGraph(len(h.edges), h.n, h.edges))
+
+        big = tmp_path / f"g{trial}.big"
+        big.write_text(f"{len(rows)} {n}\n" + body)
+        g = parse_big(big.read_text())
+        assert g == BipartiteGraph(len(rows), n, rows)
+        assert hash(g) == hash(BipartiteGraph(len(rows), n, rows))
+        assert all(type(r) is tuple for r in g.neighbors)
+        loaded = load_hypergraph(big)
+        assert loaded == Hypergraph(n, rows)
+        assert hash(loaded) == hash(Hypergraph(n, rows))
+        assert hypergraph_of(g) == loaded
+
+
+def test_public_constructors_still_validate():
+    for bad in ([(0, 3)], [(0, 0)], [()], [(-1, 0)]):
+        with pytest.raises(ValueError):
+            Hypergraph(3, bad)
+    for bad in ([(0, 3)], [(1, 1)], [(-1,)]):
+        with pytest.raises(ValueError):
+            BipartiteGraph(1, 3, bad)
+    with pytest.raises(ValueError):
+        Hypergraph(-1)
+    with pytest.raises(ValueError):
+        BipartiteGraph(2, 3, [(0,)])
 
 
 # ------------------------------------------------------------------- .bkf
