@@ -27,43 +27,86 @@ checks for such a vertex first (`sparse_y_vertex`) and answers None
 without building the gadget.
 
 `build_gadget` computes every vertex id up front, so its one pass over
-the host writes the gadget's sorted adjacency directly, with a warm
+the host writes each vertex's owner and incidence partner, and a warm
 start for the matcher: a greedy selection in which each X-vertex, in id
 order, takes the two Y-neighbours with the most remaining need (k at
 first), or none when fewer than two still need one.  Encoded as a
-matching, a selected incidence's e_x is matched into its pair, every
-other e_x to its e_y, and the pair of an X-vertex that takes none to
-itself; a contracted X-vertex that takes none has its edge matched.
-The matcher's greedy pass then gives each free e_y a copy, and only the
-copies that remain exposed, one per unit of need the selection left,
-are the roots of its first forest phase.
+matching, a selected incidence's e_x is matched into its pair and its
+e_y to the lowest free copy of y, every other e_x to its e_y, and the
+pair of an X-vertex that takes none to itself; a contracted X-vertex
+that takes none has its edge matched, and one that is selected gives
+each of its two ends a copy.  The start is then maximal, and only the
+copies it leaves exposed, one per unit of need the selection left, are
+the roots of the first forest phase.  The pass builds no neighbour
+tuple: `GadgetGraph.expand` builds one vertex's, and the matcher calls
+it only for the vertices its forests reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .hypergraph import BergeFactorCertificate, Hypergraph, Verdict, verify_berge_factor
 from .incidence import BipartiteGraph, incidence_graph
 # max_matching is not called here since a factor needs a perfect
 # matching, but bench/tracing.py wraps it under this module's name.
-from .matching import GeneralGraph, max_matching, perfect_matching  # noqa: F401
+from .matching import GeneralGraph, complete_matching, max_matching  # noqa: F401
 from .parity_criterion import DegreeSpec
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """The matching gadget; `owner` gives the host vertex (global id) of
-    each gadget vertex, `inter_edges` maps each host edge (x, nx + y)
-    to its incidence edge (e_x, e_y) in the gadget, and `start` is the
-    warm-start matching as a mate array (-1 for an exposed vertex).  A
-    degree-2 X-vertex owns no gadget vertex, and both its host edges map
-    to the one edge joining their two Y-ends."""
+    """The matching gadget of `host`, kept unexpanded.  `owner` gives
+    the host vertex (global id) of each gadget vertex, and `start` is
+    the warm start as a mate array (-1 for an exposed vertex): it is
+    maximal, and its exposed vertices are exactly the copies that the
+    greedy selection left unmet.  `expand(v)` builds vertex v's
+    ascending neighbour tuple; `graph` and `inter_edges` are derived
+    through it on first read.  `anchor[x]` is the first end of X-vertex
+    x's block, or, for a contracted x, the lower of the two Y-ends its
+    edge joins; `link[v]` is the other end of an end v's incidence edge
+    and -1 on a pair vertex or a copy.  A degree-2 X-vertex owns no
+    gadget vertex."""
 
-    graph: GeneralGraph
+    host: BipartiteGraph
     owner: tuple[int, ...]
-    inter_edges: dict[tuple[int, int], tuple[int, int]]
     start: tuple[int, ...]
+    anchor: tuple[int, ...]
+    link: tuple[int, ...]
+    expand: Callable[[int], tuple[int, ...]]
+
+    @property
+    def n(self) -> int:
+        return len(self.start)
+
+    def selected(self, match: Sequence[int]) -> list[tuple[int, int]]:
+        """The host edges (x, y), y local, whose incidence edge the mate
+        array `match` leaves unmatched, in host order."""
+        link = self.link
+        out = []
+        for x, (v, ys) in enumerate(zip(self.anchor, self.host.neighbors)):
+            for i, y in enumerate(ys):
+                e = v if len(ys) == 2 else v + i
+                if match[e] != link[e]:
+                    out.append((x, y))
+        return out
+
+    @cached_property
+    def inter_edges(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each host edge (x, nx + y) to its incidence edge (e_x, e_y)."""
+        nx, link = self.host.x_count, self.link
+        out = {}
+        for x, (v, ys) in enumerate(zip(self.anchor, self.host.neighbors)):
+            for i, y in enumerate(ys):
+                e = v if len(ys) == 2 else v + i
+                out[x, nx + y] = (e, link[e])
+        return out
+
+    @cached_property
+    def graph(self) -> GeneralGraph:
+        return GeneralGraph.from_adjacency(
+            tuple(map(self.expand, range(self.n))))
 
 
 @dataclass(frozen=True)
@@ -89,43 +132,50 @@ def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
 
 
 def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
-    """Expand the host graph into the split-incidence gadget; a Y-vertex
-    of degree below k is built too and leaves copies exposed.  Vertex ids
-    follow host-vertex order: an X-vertex of degree other than 2 owns its
-    incidence ends in neighbor order, then its pair; a Y-vertex owns its
-    ends in X order, then its k copies.  Every id is computed up front,
-    so one pass over the host vertices writes each vertex's ascending
-    neighbour tuple and the warm start (see the module docstring)."""
+    """Lay out the split-incidence gadget of the host graph; a Y-vertex
+    of degree below k is laid out too and leaves copies exposed.  Vertex
+    ids follow host-vertex order: an X-vertex of degree other than 2
+    owns its incidence ends in neighbor order, then its pair; a Y-vertex
+    owns its ends in X order, then its k copies.  Every id is computed
+    up front, so one pass over the host vertices writes `owner`, the
+    incidence partners and the maximal warm start (see the module
+    docstring); no neighbour tuple is built until `expand` is called."""
     nx = g.x_count
     k = spec.k
+    nbrs = g.neighbors
+    y_nbrs = g.y_neighbors
     # First free Y-end of each Y-block, advanced as X-vertices claim
     # them, and the copies of each Y-vertex.
     y_next: list[int] = []
     copies: list[tuple[int, ...]] = []
-    v = sum(len(ys) + 2 for ys in g.neighbors if len(ys) != 2)
-    for xs in g.y_neighbors:
+    v = xend = sum(len(ys) + 2 for ys in nbrs if len(ys) != 2)
+    for xs in y_nbrs:
         y_next.append(v)
         v += len(xs) + k
         copies.append(tuple(range(v - k, v)))
-    adj: list[tuple[int, ...]] = [()] * v
     start = [-1] * v
+    link = [-1] * v
     need = [k] * g.y_count
     owner: list[int] = []
-    inter: dict[tuple[int, int], tuple[int, int]] = {}
-    for x, ys in enumerate(g.neighbors):
+    anchor: list[int] = []
+    for x, ys in enumerate(nbrs):
         if len(ys) == 2:
             # No block: one edge joins the two Y-ends, left unmatched
-            # when x is selected.
+            # when x is selected, and then each end takes the lowest
+            # free copy of its Y-vertex.
             y1, y2 = ys
             a, b = y_next[y1], y_next[y2]
-            y_next[y1] += 1
-            y_next[y2] += 1
-            inter[x, nx + y1] = inter[x, nx + y2] = (a, b)
-            adj[a] = copies[y1] + (b,)
-            adj[b] = (a,) + copies[y2]
-            if need[y1] > 0 and need[y2] > 0:
-                need[y1] -= 1
-                need[y2] -= 1
+            y_next[y1] = a + 1
+            y_next[y2] = b + 1
+            anchor.append(a)
+            link[a] = b
+            link[b] = a
+            r1, r2 = need[y1], need[y2]
+            if r1 > 0 and r2 > 0:
+                c1, c2 = copies[y1][k - r1], copies[y2][k - r2]
+                start[a], start[c1], start[b], start[c2] = c1, a, c2, b
+                need[y1] = r1 - 1
+                need[y2] = r2 - 1
             else:
                 start[a] = b
                 start[b] = a
@@ -133,6 +183,7 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
         e = len(owner)
         pair = e + len(ys)
         owner += [x] * (len(ys) + 2)
+        anchor.append(e)
         # The two neighbours with the most need, ties to the lower index.
         first = second = -1
         for i, y in enumerate(ys):
@@ -142,35 +193,47 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
                     first, second = i, first
                 elif second < 0 or r > need[ys[second]]:
                     second = i
-        taken = (min(first, second), max(first, second)) if second >= 0 else ()
+        if second < 0:
+            first = -1
+        # A selected end e_x goes into the pair, the lower one first, and
+        # its e_y to the lowest free copy; any other e_x to its e_y.
+        slot = pair
         for i, y in enumerate(ys):
-            ey = y_next[y]
-            y_next[y] += 1
-            inter[x, nx + y] = (e + i, ey)
-            adj[e + i] = (pair, pair + 1, ey)
-            adj[ey] = (e + i,) + copies[y]
-            if i not in taken:
-                start[e + i] = ey
-                start[ey] = e + i
-        ends = tuple(range(e, pair))
-        adj[pair] = ends + (pair + 1,)
-        adj[pair + 1] = ends + (pair,)
-        if taken:
-            for c, i in enumerate(taken):
-                start[e + i] = pair + c
-                start[pair + c] = e + i
-                need[ys[i]] -= 1
-        else:
+            ex, ey = e + i, y_next[y]
+            y_next[y] = ey + 1
+            link[ex] = ey
+            link[ey] = ex
+            if i == first or i == second:
+                c = copies[y][k - need[y]]
+                need[y] -= 1
+                start[ex], start[slot], start[ey], start[c] = slot, ex, c, ey
+                slot += 1
+            else:
+                start[ex] = ey
+                start[ey] = ex
+        if slot == pair:
             start[pair] = pair + 1
             start[pair + 1] = pair
-    for j, xs in enumerate(g.y_neighbors):
-        e = len(owner)
+    for j, xs in enumerate(y_nbrs):
         owner += [nx + j] * (len(xs) + k)
-        ends = tuple(range(e, e + len(xs)))
-        for c in copies[j]:
-            adj[c] = ends
-    return GadgetGraph(GeneralGraph.from_adjacency(tuple(adj)), tuple(owner),
-                       inter, tuple(start))
+
+    def expand(v: int) -> tuple[int, ...]:
+        w = link[v]
+        if v >= xend:
+            y = owner[v] - nx
+            if w < 0:  # a copy, joined to every end of its Y-vertex
+                c = copies[y][0]
+                return tuple(range(c - len(y_nbrs[y]), c))
+            return (w,) + copies[y] if w < v else copies[y] + (w,)
+        x = owner[v]
+        e = anchor[x]
+        pair = e + len(nbrs[x])
+        if v < pair:
+            return (pair, pair + 1, w)
+        return tuple(range(e, pair)) + ((pair + 1,) if v == pair else (pair,))
+
+    return GadgetGraph(g, tuple(owner), tuple(start), tuple(anchor),
+                       tuple(link), expand)
 
 
 def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
@@ -178,12 +241,14 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    ) -> FactorSubgraph | None:
     """Search for a (2,k)-factor of the host graph; None when there is
     none.  A Y-vertex of degree below k answers None before the gadget
-    is built.  Otherwise the factor is read off a perfect matching of
-    the gadget: the host edges whose incidence edge is left unmatched,
-    both at once for a contracted X-vertex.  A matcher phase that
-    augments nothing ends on a Hungarian forest and shows there is no
-    factor.  A factor is checked by `verify_2k_factor` before it is
-    returned.  `trace` receives progress lines."""
+    is built.  Otherwise `complete_matching` extends the warm start to a
+    perfect matching of the gadget, building only the vertices its
+    forests reach, and the factor is read off the mate array: the host
+    edges whose incidence edge is left unmatched, both at once for a
+    contracted X-vertex.  A matcher phase that augments nothing ends on
+    a Hungarian forest and shows there is no factor.  A factor is
+    checked by `verify_2k_factor` before it is returned.  `trace`
+    receives progress lines."""
     y = sparse_y_vertex(g, spec)
     if y is not None:
         if trace:
@@ -191,33 +256,27 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                   f"{len(g.y_neighbors[y])} < k = {spec.k}, no factor")
         return None
     gadget = build_gadget(g, spec)
-    gg = gadget.graph
+    n = gadget.n
     if trace:
-        trace(f"gadget: {gg.n} vertices, {len(gg.edges)} edges "
+        trace(f"gadget: {n} vertices, {len(gadget.graph.edges)} edges "
               f"({len(set(gadget.inter_edges.values()))} incidence edges)")
-    matching = perfect_matching(gg, gadget.start)
-    if matching is None:
+    match = list(gadget.start)
+    if not complete_matching(match, [None] * n, gadget.expand):
         if trace:
             trace("matching: stopped at an exposed vertex with no "
-                  f"augmenting path, perfect needs {gg.n // 2}")
+                  f"augmenting path, perfect needs {n // 2}")
             trace("no perfect matching: factor does not exist")
         return None
     if trace:
-        trace(f"matching: {len(matching)} edges, perfect needs {gg.n // 2}"
-              f" (n {'even' if gg.n % 2 == 0 else 'odd'})")
-    # An incidence is selected exactly when its incidence edge is not
-    # matched; ids in `inter_edges` are already in (smaller, larger) order.
-    matched = set(matching.edges)
-    chosen = [(he[0], he[1] - g.x_count)
-              for he, ge in gadget.inter_edges.items()
-              if ge not in matched]
-    result = FactorSubgraph.make(spec.k, chosen)
+        trace(f"matching: {n // 2} edges, perfect needs {n // 2} (n even)")
+    # Host order is the sorted order `FactorSubgraph.make` would give.
+    result = FactorSubgraph(spec.k, tuple(gadget.selected(match)))
     verdict = verify_2k_factor(g, result)
     if not verdict:
         raise RuntimeError(
             f"gadget extraction produced a bad factor: {verdict.reason}")
     if trace:
-        trace(f"extraction: {len(chosen)} host edges selected")
+        trace(f"extraction: {len(result.edges)} host edges selected")
     return result
 
 

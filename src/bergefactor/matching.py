@@ -19,13 +19,19 @@ order; a root with no augmenting path gains none later.
 `perfect_matching` runs phases, each from every vertex the last one
 left exposed, until none is left or a phase augments nothing: that
 phase's forest is Hungarian, so no perfect matching exists.
+`complete_matching` runs the same phases from a maximal start on an
+adjacency that is built lazily: an entry is None until the forest
+first scans its vertex and the caller's expander builds it, so a graph
+that is mostly matched already is mostly never built.  Its start's
+pairs are checked as an involution up front and each as an edge when
+its vertex is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GeneralGraph:
@@ -111,11 +117,16 @@ def is_perfect(g: GeneralGraph, m: Matching) -> bool:
     return 2 * len(m.edges) == g.n
 
 
-def _augment_from(roots: Sequence[int], adj: tuple[tuple[int, ...], ...],
-                  match: list[int], identity: list[int]) -> int:
+def _augment_from(roots: Sequence[int], adj: Sequence[tuple[int, ...] | None],
+                  match: list[int], identity: list[int],
+                  expand: Callable[[int], tuple[int, ...]] | None = None
+                  ) -> int:
     """Grow one forest from `roots` and flip the disjoint augmenting
     paths it meets, within one phase; returns the number of trees
-    retired, 0 when the forest is Hungarian."""
+    retired, 0 when the forest is Hungarian.  An entry of `adj` may be
+    None, a vertex whose neighbours are not built yet: the first time
+    the forest scans it, `expand(v)` builds its ascending neighbour
+    tuple into `adj`, and v's mate must be among them, or ValueError."""
     # p[] holds traversal parents, base[] blossom bases, starting from a
     # copy of `identity`, the list(range(n)) built once per matching;
     # used[] marks outer vertices and tree[] each forest vertex's root.
@@ -172,7 +183,13 @@ def _augment_from(roots: Sequence[int], adj: tuple[tuple[int, ...], ...],
         tv = tree[v]
         if dead[tv]:
             continue
-        for to in adj[v]:
+        a = adj[v]
+        if a is None:
+            a = adj[v] = expand(v)
+            if match[v] != -1 and match[v] not in a:
+                raise ValueError(f"start pairs vertex {v} with {match[v]}, "
+                                 "which is not a matching edge")
+        for to in a:
             if base[v] == base[to] or match[v] == to:
                 continue
             if used[to]:
@@ -259,6 +276,50 @@ def max_matching(g: GeneralGraph) -> Matching:
     return _matching_of(match)
 
 
+def _check_start(match: list[int], adj: Sequence[tuple[int, ...] | None]
+                 ) -> None:
+    # Each pair must be an involution in range, and an edge wherever its
+    # neighbours are built; `_augment_from` checks the others as it
+    # builds them.
+    n = len(match)
+    for v, w in enumerate(match):
+        if w != -1 and not (0 <= w < n and match[w] == v
+                            and (adj[v] is None or w in adj[v])):
+            raise ValueError(f"start pairs vertex {v} with {w}, "
+                             "which is not a matching edge")
+
+
+def _phases(roots: list[int], adj: Sequence[tuple[int, ...] | None],
+            match: list[int], *expand: Callable[[int], tuple[int, ...]]
+            ) -> bool:
+    # Forest phases, each from the roots the last one left exposed, until
+    # none is left (True) or a phase retires no tree (False): its forest
+    # is Hungarian, so no perfect matching exists.  `expand`, at most
+    # one, goes to the kernel.
+    identity = list(range(len(match)))
+    while roots:
+        if not _augment_from(roots, adj, match, identity, *expand):
+            return False
+        roots = [v for v in roots if match[v] == -1]
+    return True
+
+
+def complete_matching(match: list[int], adj: list[tuple[int, ...] | None],
+                      expand: Callable[[int], tuple[int, ...]]) -> bool:
+    """Extend the mate array `match` in place to a perfect matching of
+    the graph whose neighbour tuples `adj` holds, an entry None until
+    the search first scans that vertex and `expand(v)` builds it; so
+    only the vertices the forests reach are ever built.  False when
+    there is none, after a phase whose forest is Hungarian.  `match`
+    should be maximal: the phases start from its exposed vertices, with
+    no greedy pass.  It must be an involution in range, checked before
+    the search, and each of its pairs an edge, checked as its vertex is
+    built; either fault raises ValueError."""
+    _check_start(match, adj)
+    return _phases([v for v, w in enumerate(match) if w == -1],
+                   adj, match, expand)
+
+
 def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
                      ) -> Matching | None:
     """A perfect matching of `g`, or None when it has none.  The greedy
@@ -277,16 +338,7 @@ def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
         if len(match) != n:
             raise ValueError(f"start has {len(match)} entries, "
                              f"the graph {n} vertices")
-        for v, w in enumerate(match):
-            if w != -1 and not (0 <= w < n and match[w] == v
-                                and w in adj[v]):
-                raise ValueError(f"start pairs vertex {v} with {w}, "
-                                 "which is not a matching edge")
+        _check_start(match, adj)
     _greedy(adj, match)
-    identity = list(range(n))
     roots = [v for v in range(n) if match[v] == -1]
-    while roots:
-        if not _augment_from(roots, adj, match, identity):
-            return None
-        roots = [v for v in roots if match[v] == -1]
-    return _matching_of(match)
+    return _matching_of(match) if _phases(roots, adj, match) else None

@@ -1,7 +1,8 @@
 """Gadget reduction, factor extraction, and certificate lifting."""
 
+import dataclasses
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -26,6 +27,7 @@ from bergefactor import (
     verify_2k_factor,
     verify_berge_factor,
 )
+from bergefactor import factor_solver
 from bergefactor.families import complete_graph, cycle, path, star
 
 import oracles
@@ -168,6 +170,15 @@ def test_warm_start_is_a_matching_within_need():
             if start[ex] != ey:
                 taken[y - g.x_count] += 1
         assert max(taken, default=0) <= spec.k, (g, spec)
+        # the start is maximal: it leaves exposed exactly the copies of
+        # each Y-vertex that its taken incidences do not fill
+        left = [0] * g.y_count
+        for v, w in enumerate(start):
+            if w == -1:
+                assert gadget.link[v] == -1 and gadget.owner[v] >= g.x_count, (
+                    g, spec, v)
+                left[gadget.owner[v] - g.x_count] += 1
+        assert left == [spec.k - t for t in taken], (g, spec)
         warm = perfect_matching(gg, start)
         assert (warm is None) == (perfect_matching(gg) is None), (g, spec)
 
@@ -245,6 +256,56 @@ def test_degree_two_x_shares_one_edge():
             else:
                 assert len(set(ends)) == len(ys) and x in owners, (g, spec, x)
     assert shared > 0
+
+
+def test_lazy_search_returns_the_eager_factor():
+    # find_2k_factor builds only the gadget vertices its forests reach,
+    # and reads the factor off the mate array; it returns exactly the
+    # factor read off perfect_matching on the whole gadget from the same
+    # start
+    for g, spec in chain(_gadget_census(), _contraction_hosts()):
+        gadget = build_gadget(g, spec)
+        pm = perfect_matching(gadget.graph, gadget.start)
+        want = None
+        if pm is not None:
+            matched = set(pm.edges)
+            want = FactorSubgraph.make(spec.k, [
+                (x, y - g.x_count) for (x, y), e in gadget.inter_edges.items()
+                if e not in matched])
+        assert find_2k_factor(g, spec) == want, (g, spec)
+
+
+@pytest.fixture
+def expanded(monkeypatch):
+    """The gadget vertices whose neighbours the factor search built."""
+    built = []
+    real = factor_solver.build_gadget
+
+    def counting(g, spec):
+        gadget = real(g, spec)
+
+        def expand(v):
+            built.append(v)
+            return gadget.expand(v)
+        return dataclasses.replace(gadget, expand=expand)
+
+    monkeypatch.setattr(factor_solver, "build_gadget", counting)
+    return built
+
+
+@pytest.mark.parametrize("h, k, n, want", [
+    # the warm start selects every edge of the 4-cycle and is perfect,
+    # so no vertex is built
+    (cycle(4), 2, 16, 0),
+    # two phases from four roots reach 27 of the 48 vertices
+    (complete_graph(6), 3, 48, 27),
+])
+def test_factor_search_builds_only_what_its_forests_reach(expanded, h, k,
+                                                          n, want):
+    g = incidence_graph(h)
+    assert build_gadget(g, DegreeSpec(k)).n == n
+    assert find_2k_factor(g, DegreeSpec(k)) is not None
+    assert len(expanded) == len(set(expanded)) == want
 
 
 def test_gadget_isolated_x_allowed():

@@ -62,6 +62,65 @@ def test_matcher_rejects_non_involutive_start_under_O():
     assert out.startswith("raised: start pairs vertex 0 with 1"), out
 
 
+_BAD_GADGET_START = """
+import dataclasses
+
+import bergefactor.factor_solver as fs
+from bergefactor import DegreeSpec, incidence_graph, matching
+from bergefactor.families import complete_graph
+
+assert False, "this child must run with -O"
+real = fs.build_gadget
+kernel = matching._augment_from
+searches = []
+
+
+def counted(*args):
+    searches.append(len(args[0]))
+    return kernel(*args)
+
+
+def doctored(involution):
+    # The first root's first neighbour t is inner in its tree, so t's
+    # mate is the first vertex past the roots that the forest expands.
+    # Pair t with a non-neighbour s; unless `involution`, the old mates
+    # of t and s still point at them.
+    def build(g, spec):
+        gd = real(g, spec)
+        start = list(gd.start)
+        t = gd.expand(start.index(-1))[0]
+        s = next(v for v, w in enumerate(start)
+                 if w not in (-1, t, start[t]) and v not in gd.expand(t))
+        if involution:
+            start[start[t]], start[start[s]] = start[s], start[t]
+        start[t], start[s] = s, t
+        return dataclasses.replace(gd, start=tuple(start))
+    return build
+
+
+matching._augment_from = counted
+for involution in (False, True):
+    fs.build_gadget = doctored(involution)
+    searches.clear()
+    try:
+        fs.find_2k_factor(incidence_graph(complete_graph(6)), DegreeSpec(3))
+    except ValueError as e:
+        print(f"raised after {len(searches)} searches:", e)
+    else:
+        print("searched from an unchecked start")
+"""
+
+
+def test_factor_search_rejects_a_bad_gadget_start_under_O():
+    # a start that is no involution fails before any search; an
+    # involution that pairs a vertex with a non-neighbour fails when the
+    # forest first builds that vertex's neighbours
+    lines = _run_under_O(_BAD_GADGET_START).splitlines()
+    assert [ln.split(": ")[0] for ln in lines] == [
+        "raised after 0 searches", "raised after 1 searches"], lines
+    assert all(ln.endswith("which is not a matching edge") for ln in lines)
+
+
 _WRONG_DELTA = """
 import dataclasses
 

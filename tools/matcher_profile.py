@@ -5,10 +5,12 @@
 Builds the split-incidence gadget of each of the first COUNT instances
 that `bench/workloads.instances` generates for the workload and seed,
 leaving out hosts that `sparse_y_vertex` answers before a gadget is
-built, and runs `perfect_matching` on each from the gadget's warm
-start, as `find_2k_factor` does.  One pass counts the calls of the
-search kernel `matching._augment_from`; TIMED_PASSES more passes time
-the matcher alone.  Prints one `key=value` line each:
+built, and runs the matcher on each as `find_2k_factor` does:
+`complete_matching` from the gadget's warm start, on an adjacency that
+the gadget's expander builds only where the forests reach.  One pass
+counts the calls of the search kernel `matching._augment_from` and the
+vertices expanded; TIMED_PASSES more passes time the matcher alone,
+expansion included.  Prints one `key=value` line each:
 
     gadgets        gadgets built
     gadget_vertices  vertices per gadget, mean
@@ -17,6 +19,8 @@ the matcher alone.  Prints one `key=value` line each:
     phases         kernel calls with more than one root
     single_root    kernel calls with one root
     augmentations  matching edges the kernel calls added
+    expanded       share of gadget vertices whose neighbours were built,
+                   mean over gadgets
     matcher_ms     matcher time per gadget, best pass
 
 Every line but `matcher_ms` depends only on the instances and the
@@ -68,17 +72,22 @@ def main(argv: list[str] | None = None) -> int:
     counts = {"phases": 0, "single_root": 0, "augmentations": 0}
     kernel = matching._augment_from
 
-    def counted(roots, adj, match, identity):
+    def counted(roots, adj, match, *args):
         counts["phases" if len(roots) > 1 else "single_root"] += 1
         exposed = match.count(-1)
-        retired = kernel(roots, adj, match, identity)
+        retired = kernel(roots, adj, match, *args)
         counts["augmentations"] += (exposed - match.count(-1)) // 2
         return retired
 
+    perfect = 0
+    expanded = 0.0
     matching._augment_from = counted
     try:
-        perfect = sum(matching.perfect_matching(gd.graph, gd.start) is not None
-                      for gd in built)
+        for gd in built:
+            adj = [None] * gd.n
+            perfect += matching.complete_matching(list(gd.start), adj,
+                                                  gd.expand)
+            expanded += 1 - adj.count(None) / max(1, gd.n)
     finally:
         matching._augment_from = kernel
 
@@ -86,16 +95,18 @@ def main(argv: list[str] | None = None) -> int:
     for _ in range(TIMED_PASSES):
         t0 = time.perf_counter()
         for gd in built:
-            matching.perfect_matching(gd.graph, gd.start)
+            matching.complete_matching(list(gd.start), [None] * gd.n,
+                                       gd.expand)
         best = min(best, time.perf_counter() - t0)
 
     per = max(1, len(built))
     print(f"gadgets={len(built)}")
-    print(f"gadget_vertices={sum(gd.graph.n for gd in built) / per:.1f}")
+    print(f"gadget_vertices={sum(gd.n for gd in built) / per:.1f}")
     print(f"gadget_edges={sum(len(gd.graph.edges) for gd in built) / per:.1f}")
     print(f"perfect={perfect}")
     for key, value in counts.items():
         print(f"{key}={value}")
+    print(f"expanded={expanded / per:.3f}")
     print(f"matcher_ms={1000 * best / per:.3f}")
     return 0
 
