@@ -28,8 +28,8 @@ from .hypergraph import (BergeFactorCertificate, Hypergraph, StrongDeletion,
                          strong_delete, toughness, verify_berge_factor)
 from .incidence import (BipartiteGraph, hypergraph_of, incidence_graph,
                         y_toughness)
-from .matching import (GeneralGraph, Matching, is_perfect, max_matching,
-                       perfect_matching)
+from .matching import (GeneralGraph, Matching, complete_matching, is_perfect,
+                       max_matching, perfect_matching)
 from .parity_criterion import (Barrier, ClauseCheck, Component,
                                CriterionResult, DegreeSpec, FactorExistsError,
                                ScanResult, ScanStats, StructureReport,
@@ -55,8 +55,8 @@ __all__ = [
     "ToughnessValue", "Verdict", "components", "is_complete",
     "strong_delete", "toughness", "verify_berge_factor",
     "BipartiteGraph", "hypergraph_of", "incidence_graph", "y_toughness",
-    "GeneralGraph", "Matching", "is_perfect", "max_matching",
-    "perfect_matching",
+    "GeneralGraph", "Matching", "complete_matching", "is_perfect",
+    "max_matching", "perfect_matching",
     "Barrier", "ClauseCheck", "Component", "CriterionResult", "DegreeSpec",
     "FactorExistsError", "ScanResult", "ScanStats", "StructureReport",
     "check_barrier_structure", "decide_by_criterion", "deficiency_scan",

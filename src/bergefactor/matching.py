@@ -1,11 +1,11 @@
 """Maximum matching in general graphs via blossom contraction.
 
-Unweighted Edmonds matching: a deterministic greedy pass over the
-sorted adjacency (u ascending, each neighbour w > u, which is the order
-of the canonical edge list) extends the caller's start, then one kernel
-grows an alternating forest from the roots it is given.  An edge
-between two outer vertices of one tree closes an odd cycle, which is
-contracted by relabelling only the merged blossoms' members (a list
+Unweighted Edmonds matching: a maximal start, the caller's or one from a
+deterministic greedy pass over the sorted adjacency (u ascending, each
+neighbour w > u, which is the order of the canonical edge list), then
+one kernel grows an alternating forest from the roots it is given.  An
+edge between two outer vertices of one tree closes an odd cycle, which
+is contracted by relabelling only the merged blossoms' members (a list
 kept per base); its base is found by walking up from both ends in turn,
 at most twice the longer of the two walks the relabelling makes anyway.
 Between two trees such an edge is an augmenting path: both paths flip,
@@ -16,15 +16,14 @@ adjacency, so equal inputs always produce equal matchings.
 
 `max_matching` searches one root at a time, each exposed vertex in id
 order; a root with no augmenting path gains none later.
-`perfect_matching` runs phases, each from every vertex the last one
-left exposed, until none is left or a phase augments nothing: that
-phase's forest is Hungarian, so no perfect matching exists.
-`complete_matching` runs the same phases from a maximal start on an
-adjacency that is built lazily: an entry is None until the forest
-first scans its vertex and the caller's expander builds it, so a graph
-that is mostly matched already is mostly never built.  Its start's
-pairs are checked as an involution up front and each as an edge when
-its vertex is built.
+`complete_matching` is the one entry that takes a start: it checks the
+caller's mate array, then runs phases, each from every vertex the last
+one left exposed, until none is left or a phase augments nothing: that
+phase's forest is Hungarian, so no perfect matching exists.  Its
+adjacency may be built lazily: an entry is None until the forest first
+scans its vertex and the caller's expander builds it, so a graph that
+is mostly matched already is mostly never built.  `perfect_matching`
+is the greedy pass from the empty matching, then `complete_matching`.
 """
 
 from __future__ import annotations
@@ -276,69 +275,46 @@ def max_matching(g: GeneralGraph) -> Matching:
     return _matching_of(match)
 
 
-def _check_start(match: list[int], adj: Sequence[tuple[int, ...] | None]
-                 ) -> None:
-    # Each pair must be an involution in range, and an edge wherever its
-    # neighbours are built; `_augment_from` checks the others as it
-    # builds them.
+def complete_matching(match: list[int],
+                      adj: Sequence[tuple[int, ...] | None],
+                      expand: Callable[[int], tuple[int, ...]] | None = None
+                      ) -> bool:
+    """Extend the mate array `match` (match[v] is v's mate, -1 when v is
+    exposed) in place to a perfect matching of the graph whose neighbour
+    tuples `adj` holds; False when there is none.  An entry of `adj` may
+    be None until the search first scans that vertex and `expand(v)`
+    builds it, so only the vertices the forests reach are ever built;
+    `expand` may be left out when every entry is built.  Forest phases
+    run from the exposed vertices of `match`, with no greedy pass, so it
+    should be maximal; each later phase starts from the roots the last
+    one left exposed, and a phase that retires no tree ends on a
+    Hungarian forest and answers False.  `match` must have one entry per
+    vertex and be an involution in range, checked before the search,
+    and each of its pairs an edge, checked up front where `adj` is built
+    and otherwise as its vertex is built; any fault raises ValueError."""
     n = len(match)
+    if len(adj) != n:
+        raise ValueError(f"start has {n} entries, the graph {len(adj)} "
+                         "vertices")
     for v, w in enumerate(match):
         if w != -1 and not (0 <= w < n and match[w] == v
                             and (adj[v] is None or w in adj[v])):
             raise ValueError(f"start pairs vertex {v} with {w}, "
                              "which is not a matching edge")
-
-
-def _phases(roots: list[int], adj: Sequence[tuple[int, ...] | None],
-            match: list[int], *expand: Callable[[int], tuple[int, ...]]
-            ) -> bool:
-    # Forest phases, each from the roots the last one left exposed, until
-    # none is left (True) or a phase retires no tree (False): its forest
-    # is Hungarian, so no perfect matching exists.  `expand`, at most
-    # one, goes to the kernel.
-    identity = list(range(len(match)))
+    roots = [v for v, w in enumerate(match) if w == -1]
+    identity = list(range(n))
     while roots:
-        if not _augment_from(roots, adj, match, identity, *expand):
+        if not _augment_from(roots, adj, match, identity, expand):
             return False
         roots = [v for v in roots if match[v] == -1]
     return True
 
 
-def complete_matching(match: list[int], adj: list[tuple[int, ...] | None],
-                      expand: Callable[[int], tuple[int, ...]]) -> bool:
-    """Extend the mate array `match` in place to a perfect matching of
-    the graph whose neighbour tuples `adj` holds, an entry None until
-    the search first scans that vertex and `expand(v)` builds it; so
-    only the vertices the forests reach are ever built.  False when
-    there is none, after a phase whose forest is Hungarian.  `match`
-    should be maximal: the phases start from its exposed vertices, with
-    no greedy pass.  It must be an involution in range, checked before
-    the search, and each of its pairs an edge, checked as its vertex is
-    built; either fault raises ValueError."""
-    _check_start(match, adj)
-    return _phases([v for v, w in enumerate(match) if w == -1],
-                   adj, match, expand)
-
-
-def perfect_matching(g: GeneralGraph, start: Sequence[int] | None = None
-                     ) -> Matching | None:
-    """A perfect matching of `g`, or None when it has none.  The greedy
-    pass extends `start`, a mate array (start[v] is v's mate, -1 when v
-    is exposed) of edges of `g`, or the empty matching when it is None,
-    so the result depends on `start`.  Forest phases from every exposed
-    vertex follow until the matching is perfect; a phase that augments
-    nothing ends on a Hungarian forest and answers None.  A `start` that
-    is not a matching of `g` raises ValueError."""
-    n = g.n
-    adj = g.adjacency
-    if start is None:
-        match = [-1] * n
-    else:
-        match = list(start)
-        if len(match) != n:
-            raise ValueError(f"start has {len(match)} entries, "
-                             f"the graph {n} vertices")
-        _check_start(match, adj)
-    _greedy(adj, match)
-    roots = [v for v in range(n) if match[v] == -1]
-    return _matching_of(match) if _phases(roots, adj, match) else None
+def perfect_matching(g: GeneralGraph) -> Matching | None:
+    """A perfect matching of `g`, or None when it has none: the greedy
+    pass from the empty matching, then `complete_matching`."""
+    match = [-1] * g.n
+    _greedy(g.adjacency, match)
+    if not complete_matching(match, g.adjacency):
+        return None
+    return _matching_of(match)

@@ -44,22 +44,25 @@ def test_solver_rejects_unverified_factor_under_O():
 
 
 _BAD_START = """
-from bergefactor import GeneralGraph, perfect_matching
+from bergefactor import GeneralGraph, complete_matching
 
 assert False, "this child must run with -O"
 g = GeneralGraph(4, [(0, 1), (1, 2), (2, 3)])
-try:
-    perfect_matching(g, [1, -1, -1, -1])
-except ValueError as e:
-    print("raised:", e)
-else:
-    print("accepted a start that is not an involution")
+for start in ([1, -1, -1, -1], [1, 0, -1]):
+    try:
+        complete_matching(start, g.adjacency)
+    except ValueError as e:
+        print("raised:", e)
+    else:
+        print("accepted a start that is no matching")
 """
 
 
 def test_matcher_rejects_non_involutive_start_under_O():
-    out = _run_under_O(_BAD_START)
-    assert out.startswith("raised: start pairs vertex 0 with 1"), out
+    # a start that is no involution, and one of the wrong length
+    lines = _run_under_O(_BAD_START).splitlines()
+    assert lines[0].startswith("raised: start pairs vertex 0 with 1"), lines
+    assert lines[1:] == ["raised: start has 3 entries, the graph 4 vertices"]
 
 
 _BAD_GADGET_START = """

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Matching,
-                         build_gadget, find_2k_factor, incidence_graph,
-                         is_perfect, matching, max_matching, perfect_matching)
+                         build_gadget, complete_matching, find_2k_factor,
+                         incidence_graph, is_perfect, matching, max_matching,
+                         perfect_matching)
 from bergefactor.families import complete_bipartite, complete_graph, star
 
 import oracles
@@ -100,16 +101,23 @@ def test_random_up_to_ten_vertices():
         assert pm is None or is_perfect(g, pm)
 
 
+def _pairs(match):
+    # the mate array's pairs as a Matching
+    return Matching.make((v, w) for v, w in enumerate(match) if v < w)
+
+
 def test_perfect_matching_rejects_a_start_that_is_no_matching():
     g = GeneralGraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert perfect_matching(g, [1, 0, -1, -1]).edges == ((0, 1), (2, 3))
+    match = [1, 0, -1, -1]
+    assert complete_matching(match, g.adjacency)
+    assert _pairs(match).edges == ((0, 1), (2, 3))
     for start in ([1, -1, -1, -1],  # not an involution
                   [2, -1, 0, -1],  # 0-2 is no edge
                   [0, -1, -1, -1],  # a loop
                   [1, 0, 4, -1],  # mate out of range
                   [1, 0, -1]):  # wrong length
         with pytest.raises(ValueError):
-            perfect_matching(g, start)
+            complete_matching(list(start), g.adjacency)
 
 
 def test_same_matching_as_reference_random():
@@ -181,8 +189,9 @@ def test_trees_meet_between_non_base_blossom_vertices(kernel_calls):
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
              (5, 6), (6, 7), (7, 8), (8, 9), (5, 9), (1, 6)]
     g = GeneralGraph(10, edges)
-    start = [-1, 2, 1, 4, 3, -1, 7, 6, 9, 8]
-    pm = perfect_matching(g, start)
+    match = [-1, 2, 1, 4, 3, -1, 7, 6, 9, 8]
+    assert complete_matching(match, g.adjacency)
+    pm = _pairs(match)
     assert is_perfect(g, pm)
     assert pm.edges == ((0, 4), (1, 6), (2, 3), (5, 9), (7, 8))
     assert kernel_calls == [(2, 2)]
@@ -196,8 +205,8 @@ def test_perfect_matching_from_random_maximal_starts(monkeypatch):
     calls = []  # (roots, trees retired, roots left exposed)
     search = matching._augment_from
 
-    def recorded(roots, adj, match, identity):
-        retired = search(roots, adj, match, identity)
+    def recorded(roots, adj, match, *args):
+        retired = search(roots, adj, match, *args)
         calls.append((list(roots), retired,
                       [v for v in roots if match[v] == -1]))
         return retired
@@ -214,15 +223,14 @@ def test_perfect_matching_from_random_maximal_starts(monkeypatch):
         for u, w in rng.sample(g.edges, len(g.edges)):
             if start[u] == -1 and start[w] == -1:
                 start[u], start[w] = w, u
-        given = list(start)
         calls.clear()
-        pm = perfect_matching(g, start)
-        assert start == given
+        match = list(start)
+        pm = _pairs(match) if complete_matching(match, g.adjacency) else None
         size = len(oracles.max_matching_reference(g))
         assert (pm is None) == (2 * size != n)
         assert pm is None or is_perfect(g, pm)
-        # the start is maximal, so the greedy pass adds nothing to it
-        exposed = [v for v in range(n) if given[v] == -1]
+        # the first phase starts from exactly the start's exposed vertices
+        exposed = [v for v in range(n) if start[v] == -1]
         assert calls[0][0] == exposed if exposed else not calls
         for (_, _, left), (roots, _, _) in zip(calls, calls[1:]):
             assert roots == left

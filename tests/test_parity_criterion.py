@@ -1,6 +1,7 @@
 """Deficiency function, barrier scans, and barrier structure checks."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -374,6 +375,53 @@ def test_decide_prunes_subtrees_on_larger_hosts():
         assert full.stats.u_sets == 2 ** (nx + ny)
         assert dec.stats.u_sets * 8 <= 2 ** (nx + ny), (g, k)
         assert dec.stats.walked < full.stats.walked, (g, k)
+
+
+def _barriers_by_c_code(g, k):
+    # Every barrier (A, B) with B inside Y, keyed by the base-3 code of
+    # C = A + B (digit 1 on each vertex of C).
+    nx, ny = g.x_count, g.y_count
+    out = {}
+    for c in range(1 << (nx + ny)):
+        cs = [v for v in range(nx + ny) if c >> v & 1]
+        cy = [v for v in cs if v >= nx]
+        for r in range(len(cy) + 1):
+            for b in combinations(cy, r):
+                a = tuple(v for v in cs if v not in b)
+                if oracles.delta_naive(nx, ny, g.neighbors, k, a, b)[0] < 0:
+                    out.setdefault(sum(3 ** v for v in cs), []).append((a, b))
+    return out
+
+
+def test_first_barrier_is_alone_in_its_c():
+    """The lemma that would make the B-term of the scan's first-barrier
+    code redundant, checked by brute force: no barrier has a C = A + B
+    with a lower code than the first barrier's, and no other barrier has
+    the first barrier's C.  Unproven, so the scan keeps the term; a host
+    that breaks the lemma needs it."""
+    from bergefactor.harness import enumerate_bipartite_graphs
+
+    hosts = [(g, k) for g in enumerate_bipartite_graphs(5)
+             for k in (1, 2, 3)]
+    rng = random.Random(71)
+    for i in range(20):
+        ny = rng.randint(3, 5)
+        nx = rng.randint(7, 8) - ny
+        rows = [tuple(sorted(rng.sample(range(ny), rng.randint(1, ny))))
+                for _ in range(nx)]
+        hosts.append((BipartiteGraph(nx, ny, rows), i % 3 + 1))
+    barriers = shared = 0
+    for g, k in hosts:
+        res = decide_by_criterion(g, DegreeSpec(k))
+        found = _barriers_by_c_code(g, k)
+        assert res.exists == (not found), (g, k)
+        if found:
+            barriers += 1
+            shared += any(len(pairs) > 1 for pairs in found.values())
+            assert found[min(found)] == [(res.barrier.a, res.barrier.b)], (
+                g, k, found[min(found)])
+    # 325 hosts have a barrier, and on 183 some C holds more than one
+    assert barriers > 300 and shared > 150
 
 
 def test_decide_star_first_barrier():
