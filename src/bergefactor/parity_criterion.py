@@ -79,11 +79,10 @@ class ScanStats:
     Y.  `walked` counts the pairs the scan's Gray-code walk scored, and
     `u_sets` the untouched sets U whose state the scan used, not those
     of the subtrees it dropped.  Both depend on what the caller asked
-    for: a scan without the biased pair skips more U-sets and drops
-    whole subtrees.  Skipped pairs count in `odd_deltas` by the parity
-    lemma (every delta has the parity of k|Y|), so the lemma is checked
-    on walked pairs only, and independently by
-    `test_scan_even_parity_exhaustive`."""
+    for: a scan without the biased pair skips and drops more.  Skipped
+    pairs count in `odd_deltas` by the parity lemma (every delta has the
+    parity of k|Y|), so the lemma is checked on walked pairs only, and
+    independently by `test_scan_even_parity_exhaustive`."""
 
     evaluated: int
     odd_deltas: int
@@ -220,28 +219,36 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     1, plus 3^y for each y in B, so the first barrier is tracked in the
     same walk.
 
-    Before that walk, a lower bound on every delta of the U (the
+    One rule decides what is walked.  A set of pairs can matter only
+    if one of them can beat or tie the best pair so far (ties are
+    always walked), or be a barrier earlier than the first one found;
+    with biased=False the best delta starts below every bound, so only
+    the second half counts.  Each set is judged by a lower bound on its
+    deltas and the least code it holds.  For one U the bound lb is the
     constant part, less every component some pair of the U can make
-    odd, plus every negative B-candidate weight) decides whether the U
-    can matter: a U that can hold no earlier barrier (bound >= 0, or
-    C's code, the least of the U, above the first barrier's) is not
-    walked, unless the biased pair is asked for and the bound is at or
-    below the best delta so far (ties are always walked).  Its pairs
-    are still counted: all 2^|C & Y| in `evaluated`, and in
-    `odd_deltas` by the parity lemma (every delta has the parity of
-    k|Y|).  The lemma is checked on the walked pairs, whose deltas are
-    counted one by one, and independently by an exhaustive test.
+    odd, plus every negative B-candidate weight, and the least code is
+    C's.  A U that cannot matter is not walked.  Its subtree, the U
+    and its descendants, moves vertices below U's lowest vertex t
+    (t = n for U empty) from C into U.  An X-vertex moved lowers the
+    constant part by 2, makes at most one more odd component and lowers
+    no weight, and a component of G[U] that no pair of the U makes odd
+    stays even in every descendant unless it merges with a moved
+    vertex.  When t > |X|, U holds no X-vertex and no moved Y-vertex
+    lowers the bound.  So no delta of the subtree is below
+    lb - 3 min(t, |X|), and no code below C's code less (3^t - 1)/2.
+    A subtree that cannot matter is dropped: its root is not pushed,
+    or, if the best delta or the first barrier's code has fallen since
+    it was pushed, it is dropped when popped.
 
-    With biased=False whole subtrees are dropped as well: the
-    descendants of a U with lowest vertex t (t = n for U empty) keep
-    every digit at and above t, so none has a code below C's code less
-    (3^t - 1)/2.  When that is above the first barrier's code, no child
-    of the U is built and none of its subtree is walked; the subtree's
-    2^|C & Y at or above t| * 2^|X below t| * 3^|Y below t| pairs are
-    counted as a skipped U's are.  `ScanStats.u_sets` counts the U-sets
-    not dropped.  Hosts above the vertex budget b, or with more than
-    2^ceil(b/2) * 3^floor(b/2) pairs, are refused before any scan state
-    is built.
+    The pairs of a U that is not walked still count: all 2^|C & Y| in
+    `evaluated`, and in `odd_deltas` by the parity lemma (every delta
+    has the parity of k|Y|).  A dropped subtree's 2^|C & Y at or above
+    t| * 2^|X below t| * 3^|Y below t| pairs count the same way.  The
+    lemma is checked on the walked pairs, whose deltas are counted one
+    by one, and independently by an exhaustive test.
+    `ScanStats.u_sets` counts the U-sets not dropped.  Hosts above the
+    vertex budget b, or with more than 2^ceil(b/2) * 3^floor(b/2)
+    pairs, are refused before any scan state is built.
 
     The pairs found are returned as `Barrier` records built by `delta`;
     a re-evaluated delta that differs from the walk's raises
@@ -263,9 +270,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     # Each selection is kept as the masks of C = A + B and of B.  The
     # biased one starts at the walk's first pair, A = V and B empty, and
     # best_rank is its (delta, |B|, -|A|), best_d its delta.  Without
-    # it, best_d starts below every delta, so no pair is ranked and the
-    # skip test keeps only its first-barrier half.
-    best_d = 2 * nx + k * ny if biased else -2 * k * ny - n_total - 1
+    # it, best_d starts below every delta and every bound (each is at
+    # least -2k|Y| - |V| - 3|X|), so no pair is ranked and the skip and
+    # drop tests keep only their first-barrier halves.
+    best_d = 2 * nx + k * ny if biased else -2 * k * ny - n_total - 3 * nx - 1
     best_rank = (best_d, 0, -n_total)
     best_c, best_b = all_mask, 0
     pow3 = [3 ** v for v in range(n_total + 1)]
@@ -275,6 +283,8 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     # times 2^|C & Y at or above t| counts the subtree's pairs.
     half = [(p - 1) // 2 for p in pow3]
     sub = [2 ** min(t, nx) * 3 ** max(t - nx, 0) for t in range(n_total + 1)]
+    # dip[t] = 3|X below t| is the most those moves lower a delta bound.
+    dip = [3 * min(t, nx) for t in range(n_total + 1)]
     first_code = pow3[n_total]  # above every assignment code
     first_d = 0  # stays 0 while no barrier is found
     first_c = first_b = 0
@@ -302,16 +312,19 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     while stack:
         u_mask, low, comps, reach, neg, c_code, const = stack.pop()
         cy = y_all & ~u_mask
-        if not biased and c_code - half[low] > first_code:
-            # No pair of U's subtree can be an earlier barrier.
+        # No delta of this U is below lb, and none of its subtree below
+        # sb.  The U was pushed past the same drop test, but best_d and
+        # first_code may have fallen since.
+        lb = const - reach + neg
+        sb = lb - dip[low]
+        if sb > best_d and (sb >= 0 or c_code - half[low] > first_code):
             evaluated += sub[low] << (cy >> low).bit_count()
             continue
         u_sets += 1
         tcount = cy.bit_count()
         evaluated += 1 << tcount
-        # No delta of this U is below lb.  Walk the U unless no pair of
-        # it can beat or tie the best pair, or be an earlier barrier.
-        lb = const - reach + neg
+        # Walk the U unless no pair of it can beat or tie the best pair,
+        # or be an earlier barrier.
         if lb <= best_d or (lb < 0 and c_code <= first_code):
             walked += 1 << tcount
             c_mask = all_mask ^ u_mask
@@ -416,9 +429,16 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             row &= ~vb
             if row:
                 nreach += 1
+            ncode = c_code - pow3[v]
+            sb = nconst + nneg - nreach - dip[v]
+            if sb > best_d and (sb >= 0 or ncode - half[v] > first_code):
+                # No pair of the child's subtree can beat or tie the
+                # best pair, or be an earlier barrier: it is not pushed.
+                evaluated += sub[v] << ((cy & ~vb) >> v).bit_count()
+                continue
             ncomps.append((merged, row))
-            stack.append((u_mask | vb, v, ncomps, nreach, nneg,
-                          c_code - pow3[v], nconst))
+            stack.append((u_mask | vb, v, ncomps, nreach, nneg, ncode,
+                          nconst))
     if k * ny & 1:  # the skipped pairs, by the parity lemma
         odd_deltas += evaluated - walked
 
@@ -444,10 +464,10 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     returned is the first in base-3 counting order over assignment
     vectors (vertex 0 is the fastest digit; 0 = untouched, 1 = A,
     2 = B): the checked `first` record of a scan that does not seek the
-    biased pair, and so drops every U-subtree that cannot hold an
-    earlier barrier.  `stats` are that scan's: `evaluated` and
-    `odd_deltas` equal a full scan's, `walked` and `u_sets` are at most
-    its."""
+    biased pair, and so drops every U-subtree that can hold no earlier
+    barrier, including every one whose delta bound is >= 0.  `stats`
+    are that scan's: `evaluated` and `odd_deltas` equal a full scan's,
+    `walked` and `u_sets` are at most its."""
     scan = deficiency_scan(g, spec, budget, biased=False)
     return CriterionResult(scan.first is None, scan.first, scan.stats)
 

@@ -253,6 +253,57 @@ def first_barrier_ternary(nx, ny, rows, k):
     return None
 
 
+def subtree_bounds(nx, ny, rows, k):
+    """For every untouched set U (a sorted tuple of global ids), the
+    scan's subtree bound and the least delta over U's subtree, as
+    (u, bound, minimum).  The subtree is U + S for every S below U's
+    lowest vertex `low` (n when U is empty), each with every B inside
+    the Y-vertices of C = V - (U + S) and A = C - B.  The bound is
+    computed from G[U] directly:
+
+        const + neg - reach - 3 * min(low, |X|)
+
+    with const = 2|C & X| + k|C & Y|, neg the sum over y in C & Y of
+    min(0, |N(y) & U| - 2k), and reach the number of components D of
+    G[U] that some B makes odd: k|D & Y| is odd, or some y in C & Y
+    sends D an odd number of edges."""
+    n = nx + ny
+    adj = {v: set() for v in range(n)}
+    for x in range(nx):
+        for y in rows[x]:
+            adj[x].add(nx + y)
+            adj[nx + y].add(x)
+    least = {}  # U -> least delta over the pairs with that U
+    for assign in product((0, 1, 2), repeat=n):
+        if 2 in assign[:nx]:
+            continue
+        a = tuple(v for v in range(n) if assign[v] == 1)
+        b = tuple(v for v in range(n) if assign[v] == 2)
+        u = tuple(v for v in range(n) if assign[v] == 0)
+        val = delta_naive(nx, ny, rows, k, a, b)[0]
+        least[u] = min(val, least.get(u, val))
+    out = []
+    for r in range(n + 1):
+        for u in combinations(range(n), r):
+            low = u[0] if u else n
+            minimum = min(least[tuple(sorted(u + s))]
+                          for t in range(low + 1)
+                          for s in combinations(range(low), t))
+            us = set(u)
+            cx = [v for v in range(nx) if v not in us]
+            cy = [v for v in range(nx, n) if v not in us]
+            const = 2 * len(cx) + k * len(cy)
+            neg = sum(min(0, len(adj[y] & us) - 2 * k) for y in cy)
+            reach = 0
+            for comp in _components_from_adjacency(
+                    us, {v: adj[v] & us for v in us}):
+                ys = sum(v >= nx for v in comp)
+                reach += (k * ys % 2 == 1 or any(
+                    len(adj[y] & set(comp)) % 2 for y in cy))
+            out.append((u, const + neg - reach - 3 * min(low, nx), minimum))
+    return out
+
+
 def gadget_deficiency(g, k):
     """|V| - 2 nu of the split-incidence gadget of the bipartite graph g
     at degree k: per incidence (x, y) an end e_x and an end e_y joined

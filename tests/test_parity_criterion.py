@@ -228,18 +228,45 @@ def test_scan_counts_skipped_pairs_exactly():
     assert fewer > 200
 
 
+def test_subtree_bound_is_below_its_subtree():
+    """The bound behind the scan's drop test, from G[U] alone, against
+    the least delta over U's subtree by brute force: never above it, on
+    every U of every host with |X| + |Y| <= 5 at k = 1..3 and of 30
+    seeded hosts with 6-7 vertices.  Some subtrees have a bound >= 0 and
+    so hold no barrier: the first-barrier scan drops those."""
+    from bergefactor.harness import enumerate_bipartite_graphs
+
+    hosts = [(g.x_count, g.y_count, g.neighbors, k)
+             for g in enumerate_bipartite_graphs(5) for k in (1, 2, 3)]
+    rng = random.Random(61)
+    for i in range(30):
+        ny = rng.randint(2, 4)
+        nx = rng.randint(6, 7) - ny
+        rows = [tuple(sorted(rng.sample(range(ny), rng.randint(1, ny))))
+                for _ in range(nx)]
+        hosts.append((nx, ny, rows, i % 3 + 1))
+    subtrees = barrier_free = 0
+    for nx, ny, rows, k in hosts:
+        for u, bound, minimum in oracles.subtree_bounds(nx, ny, rows, k):
+            assert bound <= minimum, (nx, ny, rows, k, u)
+            subtrees += 1
+            barrier_free += bound >= 0
+    assert subtrees == 12636 and barrier_free > 2000
+
+
 def test_scan_walk_skips_pairs_that_cannot_win():
     # The same pairs as a full walk, fewer of them scored: the walk over
     # B is skipped for a U whose lower bound is above the best delta and
     # that can hold no earlier barrier.  A full walk scores `evaluated`.
-    # The biased scan uses the state of every U-set, 2^|V|.
+    # The biased scan drops the U-subtrees whose lower bound is above
+    # the best delta and that can hold no earlier barrier.
     g = incidence_graph(star(3))
     res = deficiency_scan(g, DegreeSpec(1))
     assert (res.biased.a, res.biased.b, res.biased.delta) == ((3,), (), -2)
     assert (res.first.a, res.first.b, res.first.delta) == ((3,), (), -2)
     assert res.stats.evaluated == 648
     assert res.stats.walked == 92 < 648
-    assert res.stats.u_sets == 128
+    assert res.stats.u_sets == 72
     # A factor-less host of the criterion benchmark's size, |X| + |Y| = 10.
     g = BipartiteGraph(5, 5, [(0, 2, 3, 4), (0, 1, 2), (1,), (4,), (1, 3, 4)])
     res = deficiency_scan(g, DegreeSpec(2))
@@ -250,14 +277,14 @@ def test_scan_walk_skips_pairs_that_cannot_win():
     assert res.stats.evaluated == 7776
     assert res.stats.odd_deltas == 0
     assert res.stats.walked == 1089 < 7776
-    assert res.stats.u_sets == 1024
+    assert res.stats.u_sets == 466
     # Seeking only the first barrier, the walk skips every U that cannot
     # hold an earlier one, whatever its bound, and drops every subtree
     # of U-sets that cannot.
     dec = decide_by_criterion(g, DegreeSpec(2))
     assert (dec.barrier.a, dec.barrier.b) == (res.first.a, res.first.b)
     assert dec.stats.walked == 72 < 1089
-    assert dec.stats.u_sets == 258 < 1024
+    assert dec.stats.u_sets == 99 < 466
 
 
 def test_scan_minimum_is_gadget_deficiency_k3():
@@ -351,7 +378,8 @@ def test_decide_prunes_subtrees_on_larger_hosts():
     """On factor-less 8+8 to 9+9 hosts the first barrier lies deep in the
     walk (for k = 1 it is A = B = empty, the last U of the first path),
     and every U-subtree after it is dropped.  The result and the pair
-    counts are the biased scan's, which drops no subtree."""
+    counts are the biased scan's, which drops only the subtrees that can
+    hold no pair as good as its best so far."""
     rng = random.Random(58)
     hosts = 0
     while hosts < 4:
@@ -372,7 +400,7 @@ def test_decide_prunes_subtrees_on_larger_hosts():
             first.a, first.b, first.delta), (g, k)
         assert dec.stats.evaluated == full.stats.evaluated == 2 ** nx * 3 ** ny
         assert dec.stats.odd_deltas == full.stats.odd_deltas
-        assert full.stats.u_sets == 2 ** (nx + ny)
+        assert full.stats.u_sets < 2 ** (nx + ny)
         assert dec.stats.u_sets * 8 <= 2 ** (nx + ny), (g, k)
         assert dec.stats.walked < full.stats.walked, (g, k)
 
@@ -439,7 +467,7 @@ def test_decide_star_first_barrier():
     assert res.stats.evaluated == full.evaluated == 648
     assert res.stats.odd_deltas == full.odd_deltas
     assert res.stats.walked == 2 < full.walked == 92
-    assert res.stats.u_sets == 15 < full.u_sets == 128
+    assert res.stats.u_sets == 11 < full.u_sets == 72
 
 
 # ---------------------------------------------------------------- biased
@@ -495,6 +523,29 @@ def test_biased_pair_matches_oracle_on_small_census():
             assert (got.delta, (got.a, got.b)) == (want_min, want_pair), (g, k)
             tie_decided += ties > 1
     assert tie_decided > 0, tie_decided
+
+
+def test_biased_pair_matches_oracle_where_subtrees_drop():
+    """Seeded hosts with 7-8 vertices at k = 1..3, past the census
+    above: the biased scan drops U-subtrees on them, and keeps walking
+    those whose bound ties the best delta, so its pair is still the
+    oracle's, residual (B, A) ties included."""
+    rng = random.Random(85)
+    dropped = tie_decided = 0
+    for i in range(12):
+        ny = rng.randint(3, 5)
+        nx = rng.randint(7, 8) - ny
+        rows = [tuple(sorted(rng.sample(range(ny), rng.randint(1, 2))))
+                for _ in range(nx)]
+        g = BipartiteGraph(nx, ny, rows)
+        k = i % 3 + 1
+        res = deficiency_scan(g, DegreeSpec(k))
+        want_min, want_pair, _, ties = oracles.scan_all_pairs(nx, ny, rows, k)
+        got = res.biased
+        assert (got.delta, (got.a, got.b)) == (want_min, want_pair), (g, k)
+        dropped += res.stats.u_sets < 2 ** (nx + ny)
+        tie_decided += ties > 1
+    assert dropped > 8 and tie_decided > 3
 
 
 # -------------------------------------------------------------- structure

@@ -1,7 +1,7 @@
 """The profile scripts in `tools/` run against the package in `src/` and
-print exactly the `key=value` lines their docstrings list.  Both wrap a
-private kernel of the package, so a change to how that kernel is called
-shows here first."""
+print exactly the `key=value` lines their docstrings list.  Two of them
+wrap a private kernel of the package, so a change to how that kernel is
+called shows here first."""
 
 import ast
 import os
@@ -23,12 +23,16 @@ def _documented_keys(script):
             if ln.startswith("    ") and not ln[4].isspace()]
 
 
-@pytest.mark.parametrize("tool", ["matcher_profile", "toughness_profile"])
-def test_profile_tool_prints_its_documented_keys(tool):
+@pytest.mark.parametrize("tool, workload", [
+    pytest.param("matcher_profile", "census", id="matcher_profile"),
+    pytest.param("toughness_profile", "census", id="toughness_profile"),
+    pytest.param("scan_profile", "criterion", id="scan_profile"),
+])
+def test_profile_tool_prints_its_documented_keys(tool, workload):
     script = ROOT / "tools" / f"{tool}.py"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, str(script), "--workload", "census", "--count", "3"],
+        [sys.executable, str(script), "--workload", workload, "--count", "3"],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
