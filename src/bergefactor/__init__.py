@@ -5,8 +5,9 @@ The pipeline: a hypergraph's Berge-k-factors correspond to (2,k)-factors
 of its incidence bipartite graph; existence is decided either by an
 exhaustive deficiency criterion (with barrier certificates for the
 negative case) or constructively by a parity-gadget reduction to
-perfect matching, whose search stops at the first exposed root with no
-augmenting path.  The two routes are independent and cross-checked.
+perfect matching, whose search runs in phases from every exposed vertex
+and stops at a phase whose forest is Hungarian: no augmenting path
+starts at any root.  The two routes are independent and cross-checked.
 """
 
 from .budget import BudgetExceededError

@@ -30,9 +30,12 @@ def check(kind: str, size: int, limit: int) -> None:
 def check_pairs(kind: str, x: int, y: int, limit: int) -> None:
     """Refuse a scan of 2^x * 3^y disjoint pairs above 2^ceil(b/2) *
     3^floor(b/2), the pair count of a host of b = `limit` vertices split
-    evenly between X and Y (about 1.0e7 at b = 18)."""
+    evenly between X and Y (about 1.0e7 at b = 18).  The cap is built
+    from b clamped to 2(x + y), where it is already 6^(x+y) >= 2^x * 3^y,
+    so a large budget builds no huge cap and changes no verdict."""
     pairs = 2 ** x * 3 ** y
-    cap = 2 ** ((limit + 1) // 2) * 3 ** (limit // 2)
+    b = min(limit, 2 * (x + y))
+    cap = 2 ** ((b + 1) // 2) * 3 ** (b // 2)
     if pairs > cap:
         raise BudgetExceededError(
             f"{kind}: 2^{x}*3^{y} = {pairs} pairs exceed pair budget {cap}"

@@ -422,6 +422,21 @@ def test_pair_budget_exit_code(capsys, tmp_path):
     assert "pair budget" in err
 
 
+def test_huge_enum_budget_costs_nothing(capsys, tmp_path):
+    # The pair check clamps the budget to twice the host's size before
+    # it builds its cap, so a budget of 10^9 answers like the default.
+    f = tmp_path / "tiny.hg"
+    f.write_text(serialize_hg(cycle(4)))
+    src = str(Path(bergefactor.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergefactor.cli", "criterion", "-k", "1",
+         str(f), "--enum-budget", "1000000000"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(
+        capsys, "criterion", "-k", "1", str(f))
+
+
 @pytest.mark.parametrize("argv", [
     ["criterion", "{hg}", "-k", "1", "--enum-budget", "-1"],
     ["theorem", "-k", "1", "--n-max", "3", "--max-edges", "-1"],

@@ -17,6 +17,7 @@ from bergefactor import (
     find_biased_barrier,
     incidence_graph,
 )
+from bergefactor.budget import check_pairs
 from bergefactor.families import cycle, star
 
 import oracles
@@ -319,6 +320,22 @@ def test_scan_pair_budget():
     wide = BipartiteGraph(2, 16, [tuple(range(16)), tuple(range(8))])
     with pytest.raises(BudgetExceededError, match="pair budget"):
         deficiency_scan(wide, spec)
+
+
+def test_pair_budget_clamp_keeps_every_verdict():
+    # check_pairs builds its cap from the budget clamped to 2(x + y); its
+    # verdict and message must be those of the unclamped cap.
+    for x in range(13):
+        for y in range(13 - x):
+            for limit in range(31):
+                cap = 2 ** ((limit + 1) // 2) * 3 ** (limit // 2)
+                if 2 ** x * 3 ** y > cap:
+                    with pytest.raises(BudgetExceededError,
+                                       match=f"pair budget {cap} of vertex"
+                                       f" budget {limit} "):
+                        check_pairs("scan", x, y, limit)
+                else:
+                    check_pairs("scan", x, y, limit)
 
 
 # ---------------------------------------------------------------- decide
