@@ -221,9 +221,11 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
 
     One rule decides what is walked.  A set of pairs can matter only
     if one of them can beat or tie the best pair so far (ties are
-    always walked), or be a barrier earlier than the first one found;
-    with biased=False the best delta starts below every bound, so only
-    the second half counts.  Each set is judged by a lower bound on its
+    always walked), or be a barrier earlier than the first one found.
+    A barrier's delta is at most -1, or -2 when k|Y| is even, since
+    every delta has the parity of k|Y| (the parity lemma).  With
+    biased=False the best delta starts below every bound, so only the
+    second half counts.  Each set is judged by a lower bound on its
     deltas and the least code it holds.  For one U the bound lb is the
     constant part, less every component some pair of the U can make
     odd, plus every negative B-candidate weight, and the least code is
@@ -288,6 +290,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     first_code = pow3[n_total]  # above every assignment code
     first_d = 0  # stays 0 while no barrier is found
     first_c = first_b = 0
+    top = -1 if k * ny & 1 else -2  # the largest delta of a barrier
 
     # One stack entry per U: (u_mask, low, comps, reach, neg, c_code,
     # const), low being U's lowest vertex (n for U empty).  comps lists
@@ -317,7 +320,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         # first_code may have fallen since.
         lb = const - reach + neg
         sb = lb - dip[low]
-        if sb > best_d and (sb >= 0 or c_code - half[low] > first_code):
+        if sb > best_d and (sb > top or c_code - half[low] > first_code):
             evaluated += sub[low] << (cy >> low).bit_count()
             continue
         u_sets += 1
@@ -325,7 +328,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         evaluated += 1 << tcount
         # Walk the U unless no pair of it can beat or tie the best pair,
         # or be an earlier barrier.
-        if lb <= best_d or (lb < 0 and c_code <= first_code):
+        if lb <= best_d or (lb <= top and c_code <= first_code):
             walked += 1 << tcount
             c_mask = all_mask ^ u_mask
             # The B-candidates in increasing order, with their bits,
@@ -384,10 +387,10 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 odd_mask ^= affect[j]
         # Children: U + v for every v below U's lowest vertex, pushed
         # lowest first, so that the highest is popped first.  On 400 of
-        # the `criterion` benchmark's hosts this order leaves 15% of the
-        # pairs to the biased walk and 3.3% to the first-barrier walk,
-        # which visits half of the U-sets; the reverse order leaves 25%
-        # and 17%, and the first-barrier walk visits every U-set.
+        # the `criterion` benchmark's hosts this order leaves 14% of the
+        # pairs to the biased walk and 0.9% to the first-barrier walk,
+        # which uses 16% of the U-sets; the reverse order leaves 18%
+        # and 7.3%, and the first-barrier walk uses 40%.
         for v in range(low):
             vb = 1 << v
             av = adjg[v]
@@ -431,7 +434,7 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 nreach += 1
             ncode = c_code - pow3[v]
             sb = nconst + nneg - nreach - dip[v]
-            if sb > best_d and (sb >= 0 or ncode - half[v] > first_code):
+            if sb > best_d and (sb > top or ncode - half[v] > first_code):
                 # No pair of the child's subtree can beat or tie the
                 # best pair, or be an earlier barrier: it is not pushed.
                 evaluated += sub[v] << ((cy & ~vb) >> v).bit_count()
@@ -465,7 +468,8 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     vectors (vertex 0 is the fastest digit; 0 = untouched, 1 = A,
     2 = B): the checked `first` record of a scan that does not seek the
     biased pair, and so drops every U-subtree that can hold no earlier
-    barrier, including every one whose delta bound is >= 0.  `stats`
+    barrier, including every one whose delta bound is above the largest
+    delta of a barrier: -1, or -2 when k|Y| is even.  `stats`
     are that scan's: `evaluated` and `odd_deltas` equal a full scan's,
     `walked` and `u_sets` are at most its."""
     scan = deficiency_scan(g, spec, budget, biased=False)

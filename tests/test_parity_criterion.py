@@ -233,8 +233,11 @@ def test_subtree_bound_is_below_its_subtree():
     """The bound behind the scan's drop test, from G[U] alone, against
     the least delta over U's subtree by brute force: never above it, on
     every U of every host with |X| + |Y| <= 5 at k = 1..3 and of 30
-    seeded hosts with 6-7 vertices.  Some subtrees have a bound >= 0 and
-    so hold no barrier: the first-barrier scan drops those."""
+    seeded hosts with 6-7 vertices.  Every delta has the parity of k|Y|,
+    so the bound rounded up to that parity is a bound too, and is
+    checked the same way.  Some subtrees have a rounded bound >= 0 and
+    so hold no barrier: the first-barrier scan drops those.  At even
+    k|Y| that takes in the subtrees whose raw bound is -1."""
     from bergefactor.harness import enumerate_bipartite_graphs
 
     hosts = [(g.x_count, g.y_count, g.neighbors, k)
@@ -246,13 +249,18 @@ def test_subtree_bound_is_below_its_subtree():
         rows = [tuple(sorted(rng.sample(range(ny), rng.randint(1, ny))))
                 for _ in range(nx)]
         hosts.append((nx, ny, rows, i % 3 + 1))
-    subtrees = barrier_free = 0
+    subtrees = barrier_free = rounded_up = 0
     for nx, ny, rows, k in hosts:
         for u, bound, minimum in oracles.subtree_bounds(nx, ny, rows, k):
-            assert bound <= minimum, (nx, ny, rows, k, u)
+            rounded = bound + ((bound ^ k * ny) & 1)
+            assert bound <= rounded <= minimum, (nx, ny, rows, k, u)
             subtrees += 1
-            barrier_free += bound >= 0
-    assert subtrees == 12636 and barrier_free > 2000
+            barrier_free += rounded >= 0
+            rounded_up += bound == -1 and k * ny % 2 == 0
+    # 783 subtrees (514 in the census part) have raw bound -1 at even
+    # k|Y|; the rounding adds them to the 2915 whose raw bound is >= 0.
+    assert subtrees == 12636 and rounded_up == 783
+    assert barrier_free == 2915 + 783
 
 
 def test_scan_walk_skips_pairs_that_cannot_win():
@@ -277,15 +285,15 @@ def test_scan_walk_skips_pairs_that_cannot_win():
         (), (5, 6, 7), -2)
     assert res.stats.evaluated == 7776
     assert res.stats.odd_deltas == 0
-    assert res.stats.walked == 1089 < 7776
-    assert res.stats.u_sets == 466
+    assert res.stats.walked == 1073 < 7776
+    assert res.stats.u_sets == 461
     # Seeking only the first barrier, the walk skips every U that cannot
     # hold an earlier one, whatever its bound, and drops every subtree
     # of U-sets that cannot.
     dec = decide_by_criterion(g, DegreeSpec(2))
     assert (dec.barrier.a, dec.barrier.b) == (res.first.a, res.first.b)
-    assert dec.stats.walked == 72 < 1089
-    assert dec.stats.u_sets == 99 < 466
+    assert dec.stats.walked == 32 < 1073
+    assert dec.stats.u_sets == 80 < 461
 
 
 def test_scan_minimum_is_gadget_deficiency_k3():
@@ -391,6 +399,27 @@ def test_decide_first_barrier_on_larger_hosts():
     assert 5 < found_any < 40  # both outcomes must occur
 
 
+def test_decide_matches_ternary_oracle_on_census():
+    """The first barrier against a brute-force walk of every code, on the
+    whole |X| + |Y| <= 6 census at k = 1..3.  The full scan shares the
+    skip and drop rule with decide, so only an oracle outside the scan
+    can catch a fault in that rule."""
+    from bergefactor.harness import enumerate_bipartite_graphs
+
+    scans = barriers = 0
+    for g in enumerate_bipartite_graphs(6):
+        for k in (1, 2, 3):
+            res = decide_by_criterion(g, DegreeSpec(k))
+            want = oracles.first_barrier_ternary(
+                g.x_count, g.y_count, g.neighbors, k)
+            got = (None if res.exists else
+                   (res.barrier.a, res.barrier.b, res.barrier.delta))
+            assert got == want, (g, k)
+            scans += 1
+            barriers += want is not None
+    assert scans == 2385 and barriers == 2147
+
+
 def test_decide_prunes_subtrees_on_larger_hosts():
     """On factor-less 8+8 to 9+9 hosts the first barrier lies deep in the
     walk (for k = 1 it is A = B = empty, the last U of the first path),
@@ -484,7 +513,7 @@ def test_decide_star_first_barrier():
     assert res.stats.evaluated == full.evaluated == 648
     assert res.stats.odd_deltas == full.odd_deltas
     assert res.stats.walked == 2 < full.walked == 92
-    assert res.stats.u_sets == 11 < full.u_sets == 72
+    assert res.stats.u_sets == 10 < full.u_sets == 72
 
 
 # ---------------------------------------------------------------- biased

@@ -4,9 +4,11 @@ Writes a fixed corpus of small inputs into a temporary directory, runs
 `toughness`, `y-toughness`, `criterion`, `barrier` (plain, `--biased`,
 `--check-structure`), `factor` and `factor --trace` on each at k = 1..3,
 then `verify` on every `.bar` and `.bkf` certificate those runs print.
-Each `.big` file also gets a `scan` and a `decide` line at k = 1..3: the
-hash of the records and counts of `deficiency_scan` with and without
-the biased pair.
+Each `.big` file also gets a `scan` and a `decide` line at k = 1..3 for
+`deficiency_scan` with and without the biased pair: the hash of its
+records, `evaluated` and `odd_deltas`, then its work counters `walked=`
+and `u_sets=` in plain text, so a diff tells a change of result from a
+change of pruning.
 The `tough*.hg` files, random hypergraphs with 11 to 14 vertices, go
 through `toughness` and `y-toughness` only: they cover the sizes at
 which the toughness scan prunes most.  The malformed `bad_*` files go
@@ -129,19 +131,22 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def scan_line(name: str, k: int) -> None:
     """One `scan` line for the biased scan and one `decide` line for
-    the first-barrier scan, each hashing the scan's pairs and counts."""
+    the first-barrier scan, each hashing the scan's pairs and pair
+    counts, then printing its work counters."""
     g = load_bipartite(name)
     for tag, biased in (("scan", True), ("decide", False)):
+        work = []
         try:
             res = deficiency_scan(g, DegreeSpec(k), biased=biased)
         except BudgetExceededError as e:
             record = f"refused: {e}"
         else:
-            record = repr((res.biased, res.first, res.stats.evaluated,
-                           res.stats.odd_deltas, res.stats.walked,
-                           res.stats.u_sets))
+            st = res.stats
+            record = repr((res.biased, res.first, st.evaluated,
+                           st.odd_deltas))
+            work = [f"walked={st.walked}", f"u_sets={st.u_sets}"]
         digest = hashlib.sha256(record.encode()).hexdigest()
-        print("  ".join([tag, name, str(k), digest]))
+        print("  ".join([tag, name, str(k), digest] + work))
 
 
 def barrier_text(stdout: str) -> str:
