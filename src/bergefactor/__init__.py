@@ -30,7 +30,7 @@ from .hypergraph import (BergeFactorCertificate, Hypergraph, StrongDeletion,
 from .incidence import (BipartiteGraph, hypergraph_of, incidence_graph,
                         y_toughness)
 from .matching import (GeneralGraph, Matching, complete_matching, is_perfect,
-                       max_matching, perfect_matching)
+                       max_matching)
 from .parity_criterion import (Barrier, ClauseCheck, Component,
                                CriterionResult, DegreeSpec, FactorExistsError,
                                ScanResult, ScanStats, StructureReport,
@@ -57,7 +57,7 @@ __all__ = [
     "strong_delete", "toughness", "verify_berge_factor",
     "BipartiteGraph", "hypergraph_of", "incidence_graph", "y_toughness",
     "GeneralGraph", "Matching", "complete_matching", "is_perfect",
-    "max_matching", "perfect_matching",
+    "max_matching",
     "Barrier", "ClauseCheck", "Component", "CriterionResult", "DegreeSpec",
     "FactorExistsError", "ScanResult", "ScanStats", "StructureReport",
     "check_barrier_structure", "decide_by_criterion", "deficiency_scan",

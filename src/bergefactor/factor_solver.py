@@ -62,12 +62,13 @@ class GadgetGraph:
     the warm start as a mate array (-1 for an exposed vertex): it is
     maximal, and its exposed vertices are exactly the copies that the
     greedy selection left unmet.  `expand(v)` builds vertex v's
-    ascending neighbour tuple; `graph` and `inter_edges` are derived
-    through it on first read.  `anchor[x]` is the first end of X-vertex
-    x's block, or, for a contracted x, the lower of the two Y-ends its
-    edge joins; `link[v]` is the other end of an end v's incidence edge
-    and -1 on a pair vertex or a copy.  A degree-2 X-vertex owns no
-    gadget vertex."""
+    ascending neighbour tuple.  `graph` and `inter_edges` are views
+    derived through it on first read, for tests, tools and the
+    benchmark's tracer; the factor route does not read them.
+    `anchor[x]` is the first end of X-vertex x's block, or, for a
+    contracted x, the lower of the two Y-ends its edge joins; `link[v]`
+    is the other end of an end v's incidence edge and -1 on a pair
+    vertex or a copy.  A degree-2 X-vertex owns no gadget vertex."""
 
     host: BipartiteGraph
     owner: tuple[int, ...]
@@ -258,8 +259,13 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
     gadget = build_gadget(g, spec)
     n = gadget.n
     if trace:
-        trace(f"gadget: {n} vertices, {len(gadget.graph.edges)} edges "
-              f"({len(set(gadget.inter_edges.values()))} incidence edges)")
+        # The closed forms of the module docstring, so that tracing
+        # builds no neighbour tuple.
+        ne = sum(map(len, g.neighbors))
+        x2 = sum(len(ys) == 2 for ys in g.neighbors)
+        trace(f"gadget: {n} vertices, "
+              f"{(spec.k + 3) * ne + g.x_count - 6 * x2} edges "
+              f"({ne - x2} incidence edges)")
     match = list(gadget.start)
     if not complete_matching(match, [None] * n, gadget.expand):
         if trace:

@@ -14,16 +14,16 @@ BFS wave of its first augmentation (a Hopcroft-Karp phase), so it costs
 O(E) plus its contractions.  Scan order is fixed by the sorted
 adjacency, so equal inputs always produce equal matchings.
 
-`max_matching` searches one root at a time, each exposed vertex in id
-order; a root with no augmenting path gains none later.
-`complete_matching` is the one entry that takes a start: it checks the
-caller's mate array, then runs phases, each from every vertex the last
-one left exposed, until none is left or a phase augments nothing: that
-phase's forest is Hungarian, so no perfect matching exists.  Its
-adjacency may be built lazily: an entry is None until the forest first
-scans its vertex and the caller's expander builds it, so a graph that
-is mostly matched already is mostly never built.  `perfect_matching`
-is the greedy pass from the empty matching, then `complete_matching`.
+`complete_matching` is the one driver: it checks the caller's mate
+array, then runs phases, each from every vertex the last one left
+exposed, until none is left or a phase augments nothing.  That phase's
+forest is Hungarian: no augmenting path starts at any root, so the
+pairs left in the mate array are a maximum matching (Berge) and no
+perfect matching exists.  Its adjacency may be built lazily: an entry
+is None until the forest first scans its vertex and the caller's
+expander builds it, so a graph that is mostly matched already is mostly
+never built.  `max_matching` is the greedy pass from the empty
+matching, then `complete_matching`, whose answer it does not need.
 """
 
 from __future__ import annotations
@@ -263,18 +263,6 @@ def _matching_of(match: list[int]) -> Matching:
     return Matching(tuple((v, w) for v, w in enumerate(match) if v < w))
 
 
-def max_matching(g: GeneralGraph) -> Matching:
-    """Maximum-cardinality matching, deterministic for a fixed input."""
-    adj = g.adjacency
-    match = [-1] * g.n
-    _greedy(adj, match)
-    identity = list(range(g.n))
-    for v in range(g.n):
-        if match[v] == -1:
-            _augment_from([v], adj, match, identity)
-    return _matching_of(match)
-
-
 def complete_matching(match: list[int],
                       adj: Sequence[tuple[int, ...] | None],
                       expand: Callable[[int], tuple[int, ...]] | None = None
@@ -288,10 +276,11 @@ def complete_matching(match: list[int],
     run from the exposed vertices of `match`, with no greedy pass, so it
     should be maximal; each later phase starts from the roots the last
     one left exposed, and a phase that retires no tree ends on a
-    Hungarian forest and answers False.  `match` must have one entry per
-    vertex and be an involution in range, checked before the search,
-    and each of its pairs an edge, checked up front where `adj` is built
-    and otherwise as its vertex is built; any fault raises ValueError."""
+    Hungarian forest and answers False, leaving in `match` a maximum
+    matching of the graph.  `match` must have one entry per vertex and
+    be an involution in range, checked before the search, and each of
+    its pairs an edge, checked up front where `adj` is built and
+    otherwise as its vertex is built; any fault raises ValueError."""
     n = len(match)
     if len(adj) != n:
         raise ValueError(f"start has {n} entries, the graph {len(adj)} "
@@ -310,11 +299,9 @@ def complete_matching(match: list[int],
     return True
 
 
-def perfect_matching(g: GeneralGraph) -> Matching | None:
-    """A perfect matching of `g`, or None when it has none: the greedy
-    pass from the empty matching, then `complete_matching`."""
+def max_matching(g: GeneralGraph) -> Matching:
+    """Maximum-cardinality matching, deterministic for a fixed input."""
     match = [-1] * g.n
     _greedy(g.adjacency, match)
-    if not complete_matching(match, g.adjacency):
-        return None
+    complete_matching(match, g.adjacency)
     return _matching_of(match)

@@ -399,8 +399,9 @@ def _augment_from_reference(root, adj, match, n):
 def max_matching_reference(g):
     """Edmonds matching in its plain form, for `GeneralGraph` g: every
     contraction sweeps all n vertices and each phase allocates its arrays
-    afresh.  Returns the sorted matched edges, which
-    `max_matching(g).edges` must equal on every input."""
+    afresh, and it searches one exposed root at a time.  Returns the
+    sorted matched edges; `max_matching` may pick other edges, but as
+    many."""
     n = g.n
     adj = g.adjacency
     match = [-1] * n

@@ -7,8 +7,7 @@ import pytest
 
 from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Matching,
                          build_gadget, complete_matching, find_2k_factor,
-                         incidence_graph, is_perfect, matching, max_matching,
-                         perfect_matching)
+                         incidence_graph, is_perfect, matching, max_matching)
 from bergefactor.families import complete_bipartite, complete_graph, star
 
 import oracles
@@ -81,9 +80,6 @@ def test_exhaustive_up_to_five_vertices():
             used = [v for e in m.edges for v in e]
             assert len(used) == len(set(used))
             assert all(e in g.edges for e in m.edges)
-            pm = perfect_matching(g)
-            assert (pm is None) == (2 * len(m) != n)
-            assert pm is None or is_perfect(g, pm)
 
 
 def test_random_up_to_ten_vertices():
@@ -96,9 +92,7 @@ def test_random_up_to_ten_vertices():
         g = GeneralGraph(n, edges)
         m = max_matching(g)
         assert len(m) == oracles.max_matching_size(n, edges)
-        pm = perfect_matching(g)
-        assert (pm is None) == (2 * len(m) != n)
-        assert pm is None or is_perfect(g, pm)
+        is_perfect(g, m)  # raises unless m is a matching of g
 
 
 def _pairs(match):
@@ -122,14 +116,17 @@ def test_perfect_matching_rejects_a_start_that_is_no_matching():
 
 def test_same_matching_as_reference_random():
     # mixed densities on up to 40 vertices, so that blossoms nest; the
-    # exact edges are compared, not just the size
+    # phases may pick other edges than the reference's one root at a
+    # time, so the size is compared and the edges validated
     rng = random.Random(23)
     for _ in range(3000):
         n = rng.randint(10, 40)
         density = rng.choice((0.05, 0.1, 0.2, 0.35, 0.6))
         edges = [e for e in combinations(range(n), 2) if rng.random() < density]
         g = GeneralGraph(n, edges)
-        assert max_matching(g).edges == oracles.max_matching_reference(g)
+        m = max_matching(g)
+        is_perfect(g, m)  # raises unless m is a matching of g
+        assert len(m) == len(oracles.max_matching_reference(g))
 
 
 def test_same_matching_as_reference_on_gadgets():
@@ -142,10 +139,12 @@ def test_same_matching_as_reference_on_gadgets():
                               DegreeSpec(rng.choice((1, 2, 3))))
         g = gadget.graph
         m = max_matching(g)
-        assert m.edges == oracles.max_matching_reference(g)
-        pm = perfect_matching(g)
-        assert (pm is None) == (2 * len(m) != g.n)
-        assert pm is None or is_perfect(g, pm)
+        is_perfect(g, m)  # raises unless m is a matching of g
+        assert len(m) == len(oracles.max_matching_reference(g))
+        # the factor route's call: the warm start, lazily expanded
+        match = list(gadget.start)
+        warm = complete_matching(match, [None] * gadget.n, gadget.expand)
+        assert warm == (2 * len(m) == gadget.n)
 
 
 @pytest.fixture
@@ -225,17 +224,20 @@ def test_perfect_matching_from_random_maximal_starts(monkeypatch):
                 start[u], start[w] = w, u
         calls.clear()
         match = list(start)
-        pm = _pairs(match) if complete_matching(match, g.adjacency) else None
+        perfect = complete_matching(match, g.adjacency)
         size = len(oracles.max_matching_reference(g))
-        assert (pm is None) == (2 * size != n)
-        assert pm is None or is_perfect(g, pm)
+        assert perfect == (2 * size == n)
+        # perfect or not, the pairs left are a maximum matching
+        pairs = _pairs(match)
+        assert is_perfect(g, pairs) == perfect
+        assert len(pairs) == size
         # the first phase starts from exactly the start's exposed vertices
         exposed = [v for v in range(n) if start[v] == -1]
         assert calls[0][0] == exposed if exposed else not calls
         for (_, _, left), (roots, _, _) in zip(calls, calls[1:]):
             assert roots == left
         assert all(retired for _, retired, _ in calls[:-1])
-        if pm is None:
+        if not perfect:
             assert calls[-1][1] == 0
             failed += 1
         phased += len(calls) > 1
