@@ -198,7 +198,10 @@ def _cmd_theorem(args) -> int:
                   f"tau={v.tau} barrier delta={v.barrier.delta}")
         print(f"violations: {len(rep.violations)}")
         print(f"elapsed: {rep.elapsed:.2f}s")
-        print(f"result: {'PASS' if rep.passed else 'FAIL'}")
+        if not rep.eligible:
+            print("result: PASS (no eligible instance)")
+        else:
+            print(f"result: {'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
 
 

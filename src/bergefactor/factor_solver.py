@@ -26,20 +26,24 @@ copies exposed, so its gadget has no perfect matching.  `find_2k_factor`
 checks for such a vertex first (`sparse_y_vertex`) and answers None
 without building the gadget.
 
+The warm start for the matcher is a maximal selection of X-vertices
+that `greedy_selection` makes on the host, most constrained first,
+before any gadget vertex exists.  When it leaves no need it is a
+factor, and `find_2k_factor` returns it without laying out the gadget:
+the matcher would return that start, which has no exposed vertex, as
+it is.
+
 `build_gadget` computes every vertex id up front, so its one pass over
-the host writes each vertex's owner and incidence partner, and a warm
-start for the matcher: a greedy selection in which each X-vertex, in id
-order, takes the two Y-neighbours with the most remaining need (k at
-first), or none when fewer than two still need one.  Encoded as a
-matching, a selected incidence's e_x is matched into its pair and its
-e_y to the lowest free copy of y, every other e_x to its e_y, and the
-pair of an X-vertex that takes none to itself; a contracted X-vertex
-that takes none has its edge matched, and one that is selected gives
-each of its two ends a copy.  The start is then maximal, and only the
-copies it leaves exposed, one per unit of need the selection left, are
-the roots of the first forest phase.  The pass builds no neighbour
-tuple: `GadgetGraph.expand` builds one vertex's, and the matcher calls
-it only for the vertices its forests reach.
+the host writes each vertex's owner and incidence partner, and the
+selection encoded as a matching: a selected incidence's e_x is matched
+into its pair and its e_y to the lowest free copy of y, every other e_x
+to its e_y, and the pair of an X-vertex that takes none to itself; a
+contracted X-vertex that takes none has its edge matched, and one that
+is selected gives each of its two ends a copy.  The start is then
+maximal, and only the copies it leaves exposed, one per unit of need
+the selection left, are the roots of the first forest phase.  The pass
+builds no neighbour tuple: `GadgetGraph.expand` builds one vertex's,
+and the matcher calls it only for the vertices its forests reach.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class GadgetGraph:
     the host vertex (global id) of each gadget vertex, and `start` is
     the warm start as a mate array (-1 for an exposed vertex): it is
     maximal, and its exposed vertices are exactly the copies that the
-    greedy selection left unmet.  `expand(v)` builds vertex v's
+    selection it encodes left unmet.  `expand(v)` builds vertex v's
     ascending neighbour tuple.  `graph` and `inter_edges` are views
     derived through it on first read, for tests, tools and the
     benchmark's tracer; the factor route does not read them.
@@ -132,34 +136,98 @@ def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
     return None
 
 
-def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
+def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
+                     ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A greedy selection of X-vertices, most constrained first (after
+    Karp and Sipser's degree-ordered matching), and the need it leaves
+    unmet.  Entry x of the selection is the ascending pair of
+    Y-neighbours that x takes, or () when x takes none.  Each Y-vertex y
+    needs k incidences and has left[y] unselected X-neighbours, deg(y)
+    at first.  The Y-vertices are visited by ascending degree, ties by
+    id; one with need left scans its unselected X-neighbours with the
+    fewest Y-neighbours first, ties by id, and selects each x on y and
+    the partner z in N(x) - y with need left and the least slack
+    left[z] - need[z], the first in N(x) on a tie, until its need is
+    met; an x with no partner is passed over.  Every Y-vertex with need
+    left has scanned all its X-neighbours, so no unselected X-vertex has
+    two Y-neighbours with need left: the selection is maximal.  When
+    the unmet need is 0 it is a (2,k)-factor."""
+    k = spec.k
+    nbrs = g.neighbors
+    y_nbrs = g.y_neighbors
+    need = [k] * g.y_count
+    left = list(map(len, y_nbrs))
+    if len(set(map(len, nbrs))) > 1:
+        # Each Y-vertex's X-neighbours, fewest Y-neighbours first; with
+        # one X-degree this is X order, the order of `y_neighbors`.
+        rows: list[list[int]] = [[] for _ in y_nbrs]
+        for x in sorted(range(g.x_count), key=lambda x: len(nbrs[x])):
+            for y in nbrs[x]:
+                rows[y].append(x)
+        y_nbrs = rows
+    picks: list[tuple[int, ...]] = [()] * g.x_count
+    unmet = 0
+    for y in sorted(range(g.y_count), key=left.__getitem__):
+        r = need[y]
+        for x in y_nbrs[y]:
+            if r == 0:
+                break
+            if picks[x]:
+                continue
+            ys = nbrs[x]
+            z = -1
+            for w in ys:
+                if w != y and need[w] > 0 and (
+                        z < 0 or left[w] - need[w] < left[z] - need[z]):
+                    z = w
+            if z < 0:
+                continue
+            picks[x] = (y, z) if y < z else (z, y)
+            need[z] -= 1
+            r -= 1
+            for w in ys:
+                left[w] -= 1
+        need[y] = r
+        unmet += r
+    return tuple(picks), unmet
+
+
+def build_gadget(g: BipartiteGraph, spec: DegreeSpec,
+                 selection: Sequence[tuple[int, ...]] | None = None
+                 ) -> GadgetGraph:
     """Lay out the split-incidence gadget of the host graph; a Y-vertex
     of degree below k is laid out too and leaves copies exposed.  Vertex
     ids follow host-vertex order: an X-vertex of degree other than 2
     owns its incidence ends in neighbor order, then its pair; a Y-vertex
     owns its ends in X order, then its k copies.  Every id is computed
     up front, so one pass over the host vertices writes `owner`, the
-    incidence partners and the maximal warm start (see the module
-    docstring); no neighbour tuple is built until `expand` is called."""
+    incidence partners and the warm start that encodes `selection`
+    (`greedy_selection`'s when None), which must give each X-vertex ()
+    or two of its Y-neighbours and no Y-vertex more than k: see the
+    module docstring.  No neighbour tuple is built until `expand` is
+    called."""
+    if selection is None:
+        selection = greedy_selection(g, spec)[0]
     nx = g.x_count
     k = spec.k
     nbrs = g.neighbors
     y_nbrs = g.y_neighbors
-    # First free Y-end of each Y-block, advanced as X-vertices claim
-    # them, and the copies of each Y-vertex.
+    # First free Y-end and first free copy of each Y-block, advanced as
+    # X-vertices claim them, and the copies of each Y-vertex.
     y_next: list[int] = []
+    c_next: list[int] = []
     copies: list[tuple[int, ...]] = []
     v = xend = sum(len(ys) + 2 for ys in nbrs if len(ys) != 2)
     for xs in y_nbrs:
         y_next.append(v)
         v += len(xs) + k
+        c_next.append(v - k)
         copies.append(tuple(range(v - k, v)))
     start = [-1] * v
     link = [-1] * v
-    need = [k] * g.y_count
     owner: list[int] = []
     anchor: list[int] = []
-    for x, ys in enumerate(nbrs):
+    for x, (ys, pick) in enumerate(zip(nbrs, selection)):
         if len(ys) == 2:
             # No block: one edge joins the two Y-ends, left unmatched
             # when x is selected, and then each end takes the lowest
@@ -171,12 +239,11 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
             anchor.append(a)
             link[a] = b
             link[b] = a
-            r1, r2 = need[y1], need[y2]
-            if r1 > 0 and r2 > 0:
-                c1, c2 = copies[y1][k - r1], copies[y2][k - r2]
+            if pick:
+                c1, c2 = c_next[y1], c_next[y2]
+                c_next[y1] = c1 + 1
+                c_next[y2] = c2 + 1
                 start[a], start[c1], start[b], start[c2] = c1, a, c2, b
-                need[y1] = r1 - 1
-                need[y2] = r2 - 1
             else:
                 start[a] = b
                 start[b] = a
@@ -185,17 +252,6 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
         pair = e + len(ys)
         owner += [x] * (len(ys) + 2)
         anchor.append(e)
-        # The two neighbours with the most need, ties to the lower index.
-        first = second = -1
-        for i, y in enumerate(ys):
-            r = need[y]
-            if r > 0:
-                if first < 0 or r > need[ys[first]]:
-                    first, second = i, first
-                elif second < 0 or r > need[ys[second]]:
-                    second = i
-        if second < 0:
-            first = -1
         # A selected end e_x goes into the pair, the lower one first, and
         # its e_y to the lowest free copy; any other e_x to its e_y.
         slot = pair
@@ -204,9 +260,9 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec) -> GadgetGraph:
             y_next[y] = ey + 1
             link[ex] = ey
             link[ey] = ex
-            if i == first or i == second:
-                c = copies[y][k - need[y]]
-                need[y] -= 1
+            if y in pick:
+                c = c_next[y]
+                c_next[y] = c + 1
                 start[ex], start[slot], start[ey], start[c] = slot, ex, c, ey
                 slot += 1
             else:
@@ -241,42 +297,50 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    trace: Callable[[str], None] | None = None
                    ) -> FactorSubgraph | None:
     """Search for a (2,k)-factor of the host graph; None when there is
-    none.  A Y-vertex of degree below k answers None before the gadget
-    is built.  Otherwise `complete_matching` extends the warm start to a
-    perfect matching of the gadget, building only the vertices its
+    none.  A Y-vertex of degree below k answers None before anything
+    else.  Otherwise `greedy_selection` chooses the warm start on the
+    host.  When it meets every need it is the factor, and no gadget is
+    laid out: it is what the gadget's matcher would return from that
+    start, which is already perfect.  Otherwise `build_gadget` encodes
+    it, `complete_matching` extends it to a perfect matching of the
+    gadget from the copies it left unmet, building only the vertices its
     forests reach, and the factor is read off the mate array: the host
     edges whose incidence edge is left unmatched, both at once for a
     contracted X-vertex.  A matcher phase that augments nothing ends on
     a Hungarian forest and shows there is no factor.  A factor is
     checked by `verify_2k_factor` before it is returned.  `trace`
-    receives progress lines."""
+    receives progress lines, whose counts come from the module
+    docstring's closed forms, so that tracing lays out nothing."""
     y = sparse_y_vertex(g, spec)
     if y is not None:
         if trace:
             trace(f"gadget: Y-vertex {y} has degree "
                   f"{len(g.y_neighbors[y])} < k = {spec.k}, no factor")
         return None
-    gadget = build_gadget(g, spec)
-    n = gadget.n
+    selection, unmet = greedy_selection(g, spec)
     if trace:
-        # The closed forms of the module docstring, so that tracing
-        # builds no neighbour tuple.
         ne = sum(map(len, g.neighbors))
         x2 = sum(len(ys) == 2 for ys in g.neighbors)
+        n = 2 * ne + 2 * g.x_count + spec.k * g.y_count - 4 * x2
         trace(f"gadget: {n} vertices, "
               f"{(spec.k + 3) * ne + g.x_count - 6 * x2} edges "
               f"({ne - x2} incidence edges)")
-    match = list(gadget.start)
-    if not complete_matching(match, [None] * n, gadget.expand):
-        if trace:
-            trace("matching: stopped at an exposed vertex with no "
-                  f"augmenting path, perfect needs {n // 2}")
-            trace("no perfect matching: factor does not exist")
-        return None
+    if unmet:
+        gadget = build_gadget(g, spec, selection)
+        match = list(gadget.start)
+        if not complete_matching(match, [None] * gadget.n, gadget.expand):
+            if trace:
+                trace("matching: stopped at an exposed vertex with no "
+                      f"augmenting path, perfect needs {n // 2}")
+                trace("no perfect matching: factor does not exist")
+            return None
+        edges = gadget.selected(match)
+    else:
+        edges = [(x, y) for x, pick in enumerate(selection) for y in pick]
     if trace:
         trace(f"matching: {n // 2} edges, perfect needs {n // 2} (n even)")
     # Host order is the sorted order `FactorSubgraph.make` would give.
-    result = FactorSubgraph(spec.k, tuple(gadget.selected(match)))
+    result = FactorSubgraph(spec.k, tuple(edges))
     verdict = verify_2k_factor(g, result)
     if not verdict:
         raise RuntimeError(

@@ -393,6 +393,15 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         # and 7.3%, and the first-barrier walk uses 40%.
         for v in range(low):
             vb = 1 << v
+            ncode = c_code - pow3[v]
+            nconst = const - (k if v >= nx else 2)
+            # The child's bound below is at least this one, since moving
+            # v never lowers neg and makes at most one more component
+            # reachable: when this one drops the child, no merge is made.
+            sb = nconst + neg - reach - 1 - dip[v]
+            if sb > best_d and (sb > top or ncode - half[v] > first_code):
+                evaluated += sub[v] << ((cy & ~vb) >> v).bit_count()
+                continue
             av = adjg[v]
             if v >= nx:
                 # A Y-vertex leaves the B-candidates (its weight leaves
@@ -400,7 +409,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                 own = k_flag
                 w = (av & u_mask).bit_count() - two_k
                 nneg = neg - w if w < 0 else neg
-                nconst = const - k
             else:
                 # An X-vertex adds 1 to the weight of each neighbour, which
                 # lifts neg by one for each B-candidate neighbour whose
@@ -413,7 +421,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
                         y for y in range(nx, n_total)
                         if (adjg[y] & ux).bit_count() < two_k)
                 nneg = neg + (own & neg_y).bit_count()
-                nconst = const - 2
             # v joins the components it meets; their rows and its own
             # merge by XOR, and v leaves the row as it leaves C.
             merged = vb
@@ -432,7 +439,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             row &= ~vb
             if row:
                 nreach += 1
-            ncode = c_code - pow3[v]
             sb = nconst + nneg - nreach - dip[v]
             if sb > best_d and (sb > top or ncode - half[v] > first_code):
                 # No pair of the child's subtree can beat or tie the

@@ -337,6 +337,19 @@ def test_theorem_exhaustive(capsys):
     assert out.rstrip().endswith("result: PASS")
 
 
+def test_theorem_flags_a_pass_over_no_eligible_instance(capsys):
+    # n <= 2 < k + 1: no instance is eligible at k = 2; the exit code and
+    # the porcelain lines stay those of a pass
+    code, out, _ = run(capsys, "theorem", "-k", "2", "--n-max", "2")
+    assert code == 0
+    assert "instances: 8 total, 0 eligible, 0 with factors" in out
+    assert out.rstrip().endswith("result: PASS (no eligible instance)")
+    code, out, _ = run(capsys, "theorem", "-k", "2", "--n-max", "2",
+                       "--porcelain")
+    assert code == 0
+    assert "eligible=0" in out.splitlines() and "PASS" not in out
+
+
 def test_theorem_porcelain(capsys):
     code, out, _ = run(capsys, "theorem", "-k", "1", "--n-max", "3",
                        "--porcelain")

@@ -20,6 +20,7 @@ from bergefactor import (
     enumerate_graph_edge_sets,
     find_2k_factor,
     find_berge_k_factor,
+    greedy_selection,
     incidence_graph,
     lift_to_berge,
     max_matching,
@@ -183,6 +184,59 @@ def test_warm_start_is_a_matching_within_need():
         assert warm == (2 * len(max_matching(gg)) == gg.n), (g, spec)
 
 
+def test_greedy_selection_rule():
+    # the most constrained Y-vertices choose first: y0 and y3 have one
+    # X-neighbour each and select it, where a pass in X order would
+    # select x0 on {1, 2} and leave y0 and y3 unmet
+    g = incidence_graph(Hypergraph(4, [(1, 2), (0, 1), (2, 3)]))
+    assert greedy_selection(g, DegreeSpec(1)) == (((), (0, 1), (2, 3)), 0)
+    # y0 scans x1, with two Y-neighbours, before x0, with three; then y1
+    # selects x0 on its one partner with need left, y2
+    g = incidence_graph(Hypergraph(4, [(0, 1, 2), (0, 3), (1, 2, 3)]))
+    assert greedy_selection(g, DegreeSpec(1)) == (((1, 2), (0, 3), ()), 0)
+    # the partner is the Y-neighbour of least slack, unselected
+    # X-neighbours less need: y2 (0) over y1 (1), and on a tie the first
+    # in N(x)
+    g = incidence_graph(Hypergraph(3, [(0, 1, 2), (1,)]))
+    assert greedy_selection(g, DegreeSpec(1)) == (((0, 2), ()), 1)
+    g = incidence_graph(Hypergraph(3, [(0, 1, 2), (1, 2)]))
+    assert greedy_selection(g, DegreeSpec(1)) == (((0, 1), ()), 1)
+    # a sparse Y-vertex keeps its need
+    g = BipartiteGraph(2, 2, [(0, 1), (0,)])
+    assert greedy_selection(g, DegreeSpec(2)) == (((0, 1), ()), 2)
+
+
+def test_greedy_selection_is_maximal_within_need():
+    # each X-vertex takes none or two of its Y-neighbours and no
+    # Y-vertex more than k, and no X-vertex left out has two Y-neighbours
+    # with need left; the gadget's start encodes the selection, and
+    # when the selection meets every need the factor search returns
+    # it, as the matcher would from that start
+    complete = 0
+    for g, spec in chain(_gadget_census(), _contraction_hosts()):
+        sel, unmet = greedy_selection(g, spec)
+        need = [spec.k] * g.y_count
+        for ys, pick in zip(g.neighbors, sel):
+            assert pick == () or (
+                len(pick) == 2 and pick[0] < pick[1] and set(pick) <= set(ys)
+            ), (g, spec)
+            for y in pick:
+                need[y] -= 1
+        assert min(need, default=0) >= 0 and sum(need) == unmet, (g, spec)
+        for ys, pick in zip(g.neighbors, sel):
+            assert pick or sum(need[y] > 0 for y in ys) < 2, (g, spec)
+        gadget = build_gadget(g, spec, sel)
+        assert gadget.start == build_gadget(g, spec).start, (g, spec)
+        assert gadget.start.count(-1) == unmet, (g, spec)
+        chosen = gadget.selected(gadget.start)
+        assert chosen == [(x, y) for x, pick in enumerate(sel) for y in pick]
+        if not unmet:
+            complete += 1
+            assert find_2k_factor(g, spec) == FactorSubgraph(
+                spec.k, tuple(chosen)), (g, spec)
+    assert complete == 657
+
+
 def _graph_classes(n):
     # one labelled graph per isomorphism class on n vertices: each new
     # edge mask marks its whole orbit under the n! relabellings as seen
@@ -276,13 +330,16 @@ def test_lazy_search_returns_the_eager_factor():
 
 
 @pytest.fixture
-def expanded(monkeypatch):
-    """The gadget vertices whose neighbours the factor search built."""
-    built = []
+def laid_out(monkeypatch):
+    """The gadgets the factor search laid out, as lists of the vertices
+    whose neighbours it built."""
+    gadgets = []
     real = factor_solver.build_gadget
 
-    def counting(g, spec):
-        gadget = real(g, spec)
+    def counting(*args):
+        gadget = real(*args)
+        built = []
+        gadgets.append(built)
 
         def expand(v):
             built.append(v)
@@ -290,22 +347,28 @@ def expanded(monkeypatch):
         return dataclasses.replace(gadget, expand=expand)
 
     monkeypatch.setattr(factor_solver, "build_gadget", counting)
-    return built
+    return gadgets
 
 
 @pytest.mark.parametrize("h, k, n, want", [
-    # the warm start selects every edge of the 4-cycle and is perfect,
-    # so no vertex is built
+    # the selection is a factor, so no gadget is laid out
     (cycle(4), 2, 16, 0),
-    # two phases from four roots reach 27 of the 48 vertices
+    # it leaves 4 copies unmet, and the forests from them reach 27 of
+    # the 48 vertices
     (complete_graph(6), 3, 48, 27),
+    (complete_graph(6), 1, 36, 0),  # a factor again
+    # 2 copies unmet, 17 of the 30 vertices reached
+    (complete_graph(5), 2, 30, 17),
 ])
-def test_factor_search_builds_only_what_its_forests_reach(expanded, h, k,
+def test_factor_search_builds_only_what_its_forests_reach(laid_out, h, k,
                                                           n, want):
+    # a gadget is laid out only when the selection leaves need, and
+    # then its start is not perfect, so the forests build some vertex
     g = incidence_graph(h)
-    assert build_gadget(g, DegreeSpec(k)).n == n
     assert find_2k_factor(g, DegreeSpec(k)) is not None
-    assert len(expanded) == len(set(expanded)) == want
+    assert [len(built) for built in laid_out] == ([want] if want else [])
+    assert all(len(built) == len(set(built)) for built in laid_out)
+    assert factor_solver.build_gadget(g, DegreeSpec(k)).n == n
 
 
 def test_gadget_isolated_x_allowed():

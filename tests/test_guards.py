@@ -14,17 +14,29 @@ SRC = Path(bergefactor.__file__).resolve().parent
 _REJECTING_VERIFIER = """
 import bergefactor.factor_solver as fs
 from bergefactor import DegreeSpec, incidence_graph
-from bergefactor.families import cycle
+from bergefactor.families import complete_graph, cycle
 from bergefactor.hypergraph import Verdict
 
 assert False, "this child must run with -O"
 fs.verify_2k_factor = lambda g, factor: Verdict(False, "rejected on purpose")
-try:
-    fs.find_2k_factor(incidence_graph(cycle(4)), DegreeSpec(2))
-except RuntimeError as e:
-    print("raised:", e)
-else:
-    print("returned an unchecked factor")
+real = fs.build_gadget
+laid = []
+
+
+def counted(*args):
+    laid.append(args)
+    return real(*args)
+
+
+fs.build_gadget = counted
+for h, k in ((cycle(4), 2), (complete_graph(6), 3)):
+    laid.clear()
+    try:
+        fs.find_2k_factor(incidence_graph(h), DegreeSpec(k))
+    except RuntimeError as e:
+        print(f"{len(laid)} gadgets, raised:", e)
+    else:
+        print("returned an unchecked factor")
 """
 
 
@@ -38,9 +50,12 @@ def _run_under_O(code):
 
 
 def test_solver_rejects_unverified_factor_under_O():
-    out = _run_under_O(_REJECTING_VERIFIER)
-    assert out.startswith("raised: gadget extraction produced a bad "
-                          "factor: rejected on purpose"), out
+    # on a host whose selection is a factor, so that no gadget is laid
+    # out, and on one whose selection leaves need
+    lines = _run_under_O(_REJECTING_VERIFIER).splitlines()
+    assert lines == [
+        f"{n} gadgets, raised: gadget extraction produced a bad factor: "
+        "rejected on purpose" for n in (0, 1)], lines
 
 
 _BAD_START = """
@@ -88,8 +103,8 @@ def doctored(involution):
     # mate is the first vertex past the roots that the forest expands.
     # Pair t with a non-neighbour s; unless `involution`, the old mates
     # of t and s still point at them.
-    def build(g, spec):
-        gd = real(g, spec)
+    def build(*args):
+        gd = real(*args)
         start = list(gd.start)
         t = gd.expand(start.index(-1))[0]
         s = next(v for v, w in enumerate(start)
@@ -101,6 +116,7 @@ def doctored(involution):
     return build
 
 
+# The selection on K_6 at k = 3 leaves need 4, so a gadget is laid out.
 matching._augment_from = counted
 for involution in (False, True):
     fs.build_gadget = doctored(involution)

@@ -14,6 +14,7 @@ from bergefactor import (
     decide_by_criterion,
     deficiency_scan,
     delta,
+    enumerate_bipartite_graphs,
     find_biased_barrier,
     incidence_graph,
 )
@@ -294,6 +295,23 @@ def test_scan_walk_skips_pairs_that_cannot_win():
     assert (dec.barrier.a, dec.barrier.b) == (res.first.a, res.first.b)
     assert dec.stats.walked == 32 < 1073
     assert dec.stats.u_sets == 80 < 461
+
+
+def test_scan_work_counts_on_census():
+    # The work counters of both scan modes, summed over the |X| + |Y| <= 6
+    # census at k = 1..3.  A drop test that is not sound drops U-sets
+    # that the exact bound keeps; it can leave every barrier as it is
+    # and still change these sums.
+    walked = {False: 0, True: 0}
+    u_sets = {False: 0, True: 0}
+    for g in enumerate_bipartite_graphs(6):
+        for k in (1, 2, 3):
+            for biased in (False, True):
+                stats = deficiency_scan(g, DegreeSpec(k), biased=biased).stats
+                walked[biased] += stats.walked
+                u_sets[biased] += stats.u_sets
+    assert walked == {False: 33434, True: 204305}
+    assert u_sets == {False: 22780, True: 83470}
 
 
 def test_scan_minimum_is_gadget_deficiency_k3():

@@ -59,3 +59,12 @@ def test_profile_tool_kernels_are_all_tested():
     assert out.returncode == 0, out.stderr
     choices = re.search(r"\{([\w,]+)\}", out.stdout).group(1).split(",")
     assert sorted(choices) == sorted(KERNELS)
+
+
+def test_matcher_profile_counts_the_hosts_answered_without_a_gadget():
+    # on the first 150 `factor-large` hosts of seed 1 the greedy
+    # selection is a factor on 74, and the other 76 get a gadget
+    out = _profile("matcher", "--workload", "factor-large", "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["gadgets=76", "complete_starts=74"], lines

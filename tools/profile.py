@@ -11,24 +11,27 @@ Every other line depends only on the instances and the package, so two
 checkouts compare with `diff`.  The package is imported from the `src/`
 tree next to this script.
 
-`matcher` (any workload; C = 150) builds the split-incidence gadget of
-each instance, leaving out hosts that `sparse_y_vertex` answers before
-a gadget is built, and runs the matcher on each as `find_2k_factor`
-does: `complete_matching` from the gadget's warm start, on an adjacency
-that the gadget's expander builds only where the forests reach.  It
-counts the calls of the search kernel `matching._augment_from` and the
-vertices expanded, and prints:
+`matcher` (any workload; C = 150) follows `find_2k_factor` on each
+instance.  It leaves out hosts that `sparse_y_vertex` answers, runs
+`greedy_selection` on the rest and counts those whose selection is
+already a factor, which are answered without a gadget.  On each other
+host it lays out the split-incidence gadget from the selection and runs
+the matcher: `complete_matching` from the gadget's warm start, on an
+adjacency that the gadget's expander builds only where the forests
+reach.  It counts the calls of the search kernel
+`matching._augment_from` and the vertices expanded, and prints:
 
-    gadgets        gadgets built
+    gadgets          gadgets laid out
+    complete_starts  hosts answered by the selection, with no gadget
     gadget_vertices  vertices per gadget, mean
-    gadget_edges   edges per gadget, mean
-    perfect        gadgets with a perfect matching
-    phases         kernel calls with more than one root
-    single_root    kernel calls with one root
-    augmentations  matching edges the kernel calls added
-    expanded       share of gadget vertices whose neighbours were built,
-                   mean over gadgets
-    matcher_ms     matcher time per gadget, expansion included
+    gadget_edges     edges per gadget, mean
+    perfect          gadgets with a perfect matching
+    phases           kernel calls with more than one root
+    single_root      kernel calls with one root
+    augmentations    matching edges the kernel calls added
+    expanded         share of gadget vertices whose neighbours were
+                     built, mean over gadgets
+    matcher_ms       matcher time per gadget, expansion included
 
 `toughness` (`census` only, the one workload that calls it; C = 512)
 runs `toughness` on each host, counts the work of the level search
@@ -69,7 +72,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from bergefactor import hypergraph, matching  # noqa: E402
-from bergefactor.factor_solver import build_gadget, sparse_y_vertex  # noqa: E402
+from bergefactor.factor_solver import (build_gadget, greedy_selection,  # noqa: E402
+                                       sparse_y_vertex)
 from bergefactor.formats import parse_big, parse_hg  # noqa: E402
 from bergefactor.incidence import incidence_graph  # noqa: E402
 from bergefactor.parity_criterion import DegreeSpec, deficiency_scan  # noqa: E402
@@ -85,12 +89,18 @@ Profile = tuple[int, dict, Callable[[], None]]
 
 def matcher(insts) -> Profile:
     built = []
+    complete = 0
     for inst in insts:
         host = (incidence_graph(parse_hg(inst.text)) if inst.suffix == ".hg"
                 else parse_big(inst.text))
         spec = DegreeSpec(inst.k)
-        if sparse_y_vertex(host, spec) is None:
-            built.append(build_gadget(host, spec))
+        if sparse_y_vertex(host, spec) is not None:
+            continue
+        selection, unmet = greedy_selection(host, spec)
+        if unmet:
+            built.append(build_gadget(host, spec, selection))
+        else:
+            complete += 1
 
     calls = {"phases": 0, "single_root": 0, "augmentations": 0}
     kernel = matching._augment_from
@@ -121,6 +131,7 @@ def matcher(insts) -> Profile:
 
     per = max(1, len(built))
     counts = {
+        "complete_starts": complete,
         "gadget_vertices": f"{sum(gd.n for gd in built) / per:.1f}",
         "gadget_edges": f"{sum(len(gd.graph.edges) for gd in built) / per:.1f}",
         "perfect": perfect, **calls, "expanded": f"{expanded / per:.3f}"}
