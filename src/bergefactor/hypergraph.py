@@ -212,12 +212,22 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     vertices one at a time, in descending order of degree over the
     edges of size 2 or more (ties by id): each joins S or survives, and
     a survivor adds the edges that miss S and end at it in that order,
-    merging the components they touch.  A partial cutset whose
-    components so far plus its vertices still to survive fall below
-    need is dropped with its whole subtree: later merges only lower the
-    count, so no dropped cutset could improve or tie, and no value or
-    witness changes; at s = bn, need is bd, so every tie still reaches
-    the witness comparison, which is made in the original labels.
+    merging the components they touch.  An undecided vertex is attached
+    when an edge of size 2 or more ends at it and every other vertex of
+    that edge survives: if it survives too, that edge merges it into a
+    component it meets, so it adds no component.  Of the vertices still
+    undecided, free will join S; attached or not, a vertex adds at most
+    one component by surviving and none by joining, so no completion
+    has more than comps + rest - max(free, attached) components, with
+    comps the components so far and rest the undecided vertices.  A
+    partial cutset, reached by joining or by surviving, whose bound
+    falls below need is dropped with its whole subtree: no dropped
+    cutset could improve or tie, and no value or witness changes; at
+    s = bn, need is bd, so every tie still reaches the witness
+    comparison, which is made in the original labels.  Each plan entry
+    holds a vertex's bit, the edges it adds when it survives (those it
+    ends), and the edges whose second-to-last vertex it is: when it
+    survives, each of those that misses S attaches its last vertex.
     Instances above the enumeration budget (the `budget` argument,
     default 20 vertices) are refused, never truncated."""
     if h.n < 1:
@@ -236,11 +246,18 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
+    # Each edge of size 2 or more is added by its last vertex in the
+    # order, and attaches it from its second-to-last vertex; the attach
+    # bit is the last vertex's place counted from the one after that.
     ends: list[set[int]] = [set() for _ in range(n)]
+    attaches: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     for e, em in zip(h.edges, h.edge_masks):
         if len(e) > 1:
-            ends[max(pos[v] for v in e)].add(em)
-    plan = [(1 << v, tuple(ends[i])) for i, v in enumerate(order)]
+            prev, last = sorted(pos[v] for v in e)[-2:]
+            ends[last].add(em)
+            attaches[prev].add((em, 1 << (last - prev - 1)))
+    plan = [(1 << v, tuple(ends[i]), tuple(attaches[i]))
+            for i, v in enumerate(order)]
     # Best ratio tracked as a num/den pair to avoid a Fraction per
     # cutset; the numerator is the best cutset's size.
     best = (0, 0, 0)
@@ -260,26 +277,34 @@ def toughness(h: Hypergraph, budget: int | None = None) -> ToughnessValue:
     return ToughnessValue(Fraction(bn, bd), bit_tuple(best_mask))
 
 
-def _search_level(plan: Sequence[tuple[int, tuple[int, ...]]], size: int,
-                  need: int, best: tuple[int, int, int]
+def _search_level(plan: Sequence[tuple[int, tuple[int, ...],
+                                        tuple[tuple[int, int], ...]]],
+                  size: int, need: int, best: tuple[int, int, int]
                   ) -> tuple[tuple[int, int, int], int, int]:
     """One level of `toughness`: the cutsets S of `size` vertices with at
     least `need` components, searched depth first.  `plan` gives, in
-    visit order, each vertex's bit and the edge masks whose last vertex
-    it is.  `best` is (bn, bd, mask): the best ratio bn / bd so far as
-    a pair, bd = 0 while there is none, and its cutset.  Returns the
-    updated `best`, the nodes visited and the leaves (full cutsets)
-    reached; `toughness` uses only `best`."""
+    visit order, each vertex's bit, the edge masks whose last vertex it
+    is, and the edges whose second-to-last vertex it is, each as a pair
+    (edge mask, attach bit): the attach bit marks the edge's last vertex
+    by its place in the order, counted from the vertex after this one.
+    `best` is (bn, bd, mask): the best ratio bn / bd so far as a pair,
+    bd = 0 while there is none, and its cutset.  Returns the updated
+    `best`, the nodes visited and the leaves (full cutsets) reached;
+    `toughness` uses only `best`."""
     n = len(plan)
     bn, bd, best_mask = best
     nodes = leaves = 0
-    # One entry per node: (i, free, s_mask, comps), the first i vertices
-    # of the order decided, free of them still to join S, and comps the
-    # component masks of the survivors so far.  Edges that end at an
-    # undecided vertex are not added yet, so they can only merge more.
-    stack: list[tuple[int, int, int, list[int]]] = [(0, size, 0, [])]
+    # One entry per node: (i, free, s_mask, comps, att), the first i
+    # vertices of the order decided, free of them still to join S, comps
+    # the component masks of the survivors so far, and att the attached
+    # undecided vertices, bit j for the vertex at place i + j of the
+    # order.  A survivor's attach bits are thus relative to its child,
+    # and `att >> 1` drops the vertex being decided.  Edges that end at
+    # an undecided vertex are not added yet, so they can only merge more.
+    stack: list[tuple[int, int, int, list[int], int]] = [
+        (0, size, 0, [], 0)]
     while stack:
-        i, free, s_mask, comps = stack.pop()
+        i, free, s_mask, comps, att = stack.pop()
         # Walk down from the popped node, to the join child while some
         # vertex must still join S (the survive child waits on the
         # stack), and to the survive child once none must.
@@ -291,7 +316,7 @@ def _search_level(plan: Sequence[tuple[int, tuple[int, ...]]], size: int,
                 leaves += 1
                 c = len(comps)
                 if c >= need:
-                    for b, _ in plan[i:]:
+                    for b, _, _ in plan[i:]:
                         s_mask |= b
                     if bd == 0 or size * bd < bn * c:
                         bn, bd, best_mask, need = size, c, s_mask, c
@@ -302,7 +327,7 @@ def _search_level(plan: Sequence[tuple[int, tuple[int, ...]]], size: int,
                         if s_mask & diff & -diff:
                             best_mask = s_mask
                 break
-            b, ending = plan[i]
+            b, ending, attaching = plan[i]
             reach = 0
             for em in ending:
                 if not em & s_mask:
@@ -318,16 +343,29 @@ def _search_level(plan: Sequence[tuple[int, tuple[int, ...]]], size: int,
                 grown.append(merged)
             else:
                 grown = comps + [b]
-            # Every vertex still to survive may add one component;
-            # merges only remove them.
-            alive = len(grown) + rest - 1 - free >= need
+            # Each undecided vertex adds at most one component, and none
+            # if it joins S or if it is attached and survives, so at
+            # least max(free, attached) of them add none; merges only
+            # remove more.  Both children are bounded.
+            slack = len(grown) + rest - 1 - need
+            alive = slack >= free
+            if alive:
+                grown_att = att >> 1
+                for em, last in attaching:
+                    if not em & s_mask:
+                        grown_att |= last
+                alive = slack >= grown_att.bit_count()
             if free:
                 if alive:
-                    stack.append((i + 1, free, s_mask, grown))
-                s_mask |= b
+                    stack.append((i + 1, free, s_mask, grown, grown_att))
                 free -= 1
+                slack = len(comps) + rest - 1 - need
+                att >>= 1
+                if slack < free or slack < att.bit_count():
+                    break
+                s_mask |= b
             elif alive:
-                comps = grown
+                comps, att = grown, grown_att
             else:
                 break
             i += 1

@@ -67,6 +67,30 @@ def hypergraph_toughness(n, edges):
     return best[0], best[2]
 
 
+def search_node_maxima(n, edges, order):
+    """Most components over the completions of every node of a search
+    that decides the vertices in `order`.  A node is (i, s_part, free):
+    the first i vertices of `order` decided, s_part (a frozenset) those
+    of them in S, and free more vertices to join S among the rest.  Its
+    value is the largest c(H - S) over the S that add exactly free of
+    the undecided vertices to s_part.  c(H - S) is computed once for
+    every S."""
+    count = {}
+    for r in range(n + 1):
+        for s in combinations(range(n), r):
+            count[frozenset(s)] = len(hypergraph_components_after(n, edges, s))
+    maxima = {}
+    for i in range(n + 1):
+        decided, undecided = order[:i], order[i:]
+        for r in range(i + 1):
+            for s_part in map(frozenset, combinations(decided, r)):
+                for free in range(len(undecided) + 1):
+                    maxima[(i, s_part, free)] = max(
+                        count[s_part | frozenset(rest)]
+                        for rest in combinations(undecided, free))
+    return maxima
+
+
 def graph_toughness(n, pair_edges):
     """Toughness of an ordinary graph: delete S, count components of
     the induced subgraph.  Written directly on pairs as a second

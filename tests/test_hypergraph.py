@@ -20,6 +20,7 @@ from bergefactor import (
 )
 from bergefactor import hypergraph
 from bergefactor.families import (
+    complete_bipartite,
     complete_graph,
     complete_uniform,
     cycle,
@@ -27,6 +28,8 @@ from bergefactor.families import (
     petersen,
     star,
 )
+
+from bergefactor.harness import enumerate_hypergraphs
 
 import oracles
 
@@ -189,17 +192,24 @@ def test_toughness_matches_oracle_larger_random():
         assert (got.value, got.witness) == oracles.hypergraph_toughness(n, edges)
 
 
-def test_toughness_matches_oracle_at_census_size():
-    # The sizes of the benchmark census: n 11..13, m n..3n, edges of
-    # size 2..6.
+def _census_size_hosts():
+    """30 seeded hosts at the sizes of the benchmark census: n 11..13,
+    m n..3n, edges of size 2..6."""
     rng = random.Random(20261017)
+    hosts = []
     for trial in range(30):
         n = 11 + trial % 3
         m = rng.randint(n, 3 * n)
-        edges = [tuple(sorted(rng.sample(range(n), rng.randint(2, 6))))
-                 for _ in range(m)]
-        got = toughness(Hypergraph(n, edges))
-        assert (got.value, got.witness) == oracles.hypergraph_toughness(n, edges)
+        hosts.append(Hypergraph(n, [rng.sample(range(n), rng.randint(2, 6))
+                                    for _ in range(m)]))
+    return hosts
+
+
+def test_toughness_matches_oracle_at_census_size():
+    for h in _census_size_hosts():
+        got = toughness(h)
+        assert ((got.value, got.witness)
+                == oracles.hypergraph_toughness(h.n, h.edges))
 
 
 def test_toughness_witness_off_the_visit_order():
@@ -271,6 +281,85 @@ def test_toughness_count_stops_below_need(monkeypatch):
             value, tuple(range(2, n)))
         assert [leaves for _, _, leaves in log] == [0] * (n - 2) + [1]
         assert all(leaves < comb(n, size) for size, _, leaves in log)
+
+
+def _bound_hosts():
+    """Every hypergraph on 4 vertices with at most 4 edges, then 30
+    seeded hosts with 5..7 vertices: 2-uniform, with singleton edges,
+    and with repeated edges.  None is complete, so each is searched."""
+    hosts = list(enumerate_hypergraphs(4, 4))
+    rng = random.Random(33)
+    for trial in range(30):
+        n = 5 + trial % 3
+        kind = trial // 10
+        m = rng.randint(n // 2, 2 * n)
+        if kind == 0:
+            edges = [rng.sample(range(n), 2) for _ in range(m)]
+        elif kind == 1:
+            edges = [rng.sample(range(n), rng.randint(1, 4))
+                     for _ in range(m)]
+        else:
+            edges = [rng.sample(range(n), rng.randint(2, 4))
+                     for _ in range(m // 2 + 1)]
+            edges += [rng.choice(edges) for _ in range(m // 2)]
+        hosts.append(Hypergraph(n, edges))
+    return hosts
+
+
+def test_toughness_bound_is_sound(monkeypatch):
+    # Search every level at every fixed need, with best = 0/1 and its
+    # cutset empty: no cutset improves it, and the one tie, the empty
+    # cutset, keeps it, so need never moves.
+    # A node is dropped only when its bound falls below need, so a bound
+    # at least the most components of any completion keeps every node
+    # whose maximum reaches need (the oracle's per-node maxima), and
+    # reaches exactly the full cutsets with need components or more.
+    search = hypergraph._search_level
+    plans = []
+
+    def capture(plan, size, need, best):
+        plans.append(plan)
+        return search(plan, size, need, best)
+
+    monkeypatch.setattr(hypergraph, "_search_level", capture)
+    for h in _bound_hosts():
+        plans.clear()
+        toughness(h)
+        n, plan = h.n, plans[0]
+        order = [b.bit_length() - 1 for b, _, _ in plan]
+        maxima = oracles.search_node_maxima(n, h.edges, order)
+        for size in range(n):
+            level = [(i, free, m) for (i, s_part, free), m in maxima.items()
+                     if len(s_part) + free == size]
+            for need in range(1, n - size + 2):
+                _, nodes, leaves = search(plan, size, need, (0, 1, 0))
+                assert leaves == sum(1 for i, _, m in level
+                                     if i == n and m >= need)
+                assert nodes >= sum(1 for i, free, m in level
+                                    if free < n - i and m >= need)
+
+
+def test_toughness_work_counts(monkeypatch):
+    # Summed (levels, nodes, leaves) of the level search, so a weaker
+    # bound fails here even where every value and witness holds.
+    log = _record_levels(monkeypatch)
+    for hosts, work in ((_census_size_hosts(), (128, 15172, 299)),
+                        ([complete_bipartite(10, 10)], (11, 22802, 2)),
+                        ([cycle(20)], (10, 309580, 15104))):
+        log.clear()
+        for h in hosts:
+            toughness(h)
+        assert (len(log), sum(x for _, x, _ in log),
+                sum(x for _, _, x in log)) == work
+
+
+def test_toughness_complete_bipartite_closed_form():
+    # tau(K_{a,b}) = a/b for a <= b, witnessed by the smaller side: at
+    # n = 20, the default budget's edge.
+    assert toughness(complete_bipartite(10, 10)) == ToughnessValue(
+        Fraction(1), tuple(range(10)))
+    assert toughness(complete_bipartite(9, 11)) == ToughnessValue(
+        Fraction(9, 11), tuple(range(9)))
 
 
 def test_toughness_budget_refusal():

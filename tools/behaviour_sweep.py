@@ -9,15 +9,16 @@ Each `.big` file also gets a `scan` and a `decide` line at k = 1..3 for
 records, `evaluated` and `odd_deltas`, then its work counters `walked=`
 and `u_sets=` in plain text, so a diff tells a change of result from a
 change of pruning.
-The `tough*.hg` files, random hypergraphs with 11 to 14 vertices, go
-through `toughness` and `y-toughness` only: they cover the sizes at
-which the toughness scan prunes most.  The malformed `bad_*` files go
-through `factor` and `criterion` at k = 1 only, which pins the exit
-code and the bytes of each parse error.  Last come the two commands that
-draw from the package's random hypergraph generator: `theorem
---porcelain` exhaustively with n <= 4 at k = 1, 2 and once in random
-mode, and one small `tightness --porcelain` run whose stream goes past
-its graph census.  Each run prints one line
+The `tough*.hg` files, random hypergraphs with 11 to 14 vertices and
+two dense graphs with 16 to 20 vertices under shuffled labels (one of
+them complete bipartite), go through `toughness` and `y-toughness`
+only: they cover the sizes at which the toughness search prunes most.
+The malformed `bad_*` files go through `factor` and `criterion` at
+k = 1 only, which pins the exit code and the bytes of each parse error.
+Last come the two commands that draw from the package's random
+hypergraph generator: `theorem --porcelain` exhaustively with n <= 4 at
+k = 1, 2 and once in random mode, and one small `tightness --porcelain`
+run whose stream goes past its graph census.  Each run prints one line
 
     argv  exit  sha256(stdout)  sha256(stderr)
 
@@ -65,8 +66,9 @@ def big_text(ny: int, rows) -> str:
 
 def corpus() -> dict[str, str]:
     """File name -> text: named families, random files with at most 14
-    vertices in the incidence view, the larger `tough*.hg` files, then
-    malformed files, some with a second fault that the first hides."""
+    vertices in the incidence view, the larger and the dense `tough*.hg`
+    files, then malformed files, some with a second fault that the
+    first hides."""
     files = {}
     for n in range(2, 7):
         files[f"path{n}.hg"] = hg_text(n, [(i, i + 1) for i in range(n - 1)])
@@ -108,6 +110,19 @@ def corpus() -> dict[str, str]:
         edges = [rng.sample(range(n), rng.randint(2, 6))
                  for _ in range(rng.randint(n, 3 * n))]
         files[f"tough{i:02d}.hg"] = hg_text(n, edges)
+    # Dense graphs with 16 to 20 vertices under shuffled labels, where
+    # the toughness search's bound prunes hardest: a complete bipartite
+    # graph and a random graph with edge probability 0.6.
+    n = rng.randint(16, 20)
+    a = rng.randint(n // 2 - 2, n // 2)
+    label = rng.sample(range(n), n)
+    files["tough_bipartite.hg"] = hg_text(
+        n, [(label[u], label[v]) for u in range(a) for v in range(a, n)])
+    n = rng.randint(16, 20)
+    label = rng.sample(range(n), n)
+    files["tough_dense.hg"] = hg_text(
+        n, [(label[u], label[v]) for u, v in combinations(range(n), 2)
+            if rng.random() < 0.6])
     files["bad_int.hg"] = "3 2\n0 5\n1 x\n"
     files["bad_order.hg"] = "3 2\n0 5\n2 1\n"
     files["bad_range.hg"] = "3 3\n0 1\n1 3\n0 4\n"

@@ -8,8 +8,11 @@ pass counts the kernel's work; TIMED_PASSES more passes time the kernel
 alone.  Prints one `key=value` line each, in the order listed below for
 the kernel; the last line is the kernel's time per instance, best pass.
 Every other line depends only on the instances and the package, so two
-checkouts compare with `diff`.  The package is imported from the `src/`
-tree next to this script.
+checkouts compare with `diff`.  The time line is for orientation only:
+on a shared host, `matcher_ms` spread 0.44-0.80 ms over six runs of the
+same code.  Claim a change from the count lines, or from alternating
+`bench/run.py` runs of the two checkouts.  The package is imported from
+the `src/` tree next to this script.
 
 `matcher` (any workload; C = 150) follows `find_2k_factor` on each
 instance.  It leaves out hosts that `sparse_y_vertex` answers, runs
