@@ -115,14 +115,20 @@ def _cmd_factor(args) -> int:
     except BudgetExceededError:
         # Past the scan budget, a Y-vertex y of degree d < k still gives
         # the barrier (A, B) = ({}, {y}): its delta is at most d - k.
+        # A Y-vertex with d2 < k X-neighbours of degree >= 2 gives it
+        # too, at delta <= d2 - k: each degree-1 X-neighbour is an odd
+        # component that cancels its own edge into B.
         y = sparse_y_vertex(g, spec)
         if y is None:
             raise
         br = delta(g, (), (g.x_count + y,), spec)
         if br.delta >= 0:
-            raise RuntimeError(
-                f"Y-vertex {y} of degree {len(g.y_neighbors[y])} < k "
-                f"gave delta {br.delta}")
+            xs = g.y_neighbors[y]
+            what = (f"of degree {len(xs)}" if len(xs) < args.k else
+                    f"with {sum(len(g.neighbors[x]) > 1 for x in xs)} "
+                    "X-neighbours of degree >= 2")
+            raise RuntimeError(f"Y-vertex {y} {what} < k gave delta "
+                               f"{br.delta}")
     print(f"no Berge-{args.k}-factor: barrier delta={br.delta}")
     sys.stdout.write(serialize_bar(br))
     return 1

@@ -22,16 +22,24 @@ incidence's e_y exposed instead, so |V| - 2 nu is the same for every
 host.  With |X_2| such X-vertices the gadget has
 2|E| + 2|X| + k|Y| - 4|X_2| vertices and (k+3)|E| + |X| - 6|X_2| edges
 for |E| incidences, for every host: a Y-vertex of host degree < k leaves
-copies exposed, so its gadget has no perfect matching.  `find_2k_factor`
-checks for such a vertex first (`sparse_y_vertex`) and answers None
-without building the gadget.
+copies exposed, so its gadget has no perfect matching, and so does one
+with fewer than k X-neighbours of degree 2 or more, since an X-vertex
+of degree 1 is never selected.  `find_2k_factor` checks for such a
+vertex first (`sparse_y_vertex`) and answers None without building the
+gadget.
 
 The warm start for the matcher is a maximal selection of X-vertices
 that `greedy_selection` makes on the host, most constrained first,
-before any gadget vertex exists.  When it leaves no need it is a
+before any gadget vertex exists.  When its degree-ordered pass leaves
+need, it restarts with the Y-vertices that pass left unmet visited
+first, and each restart that fails moves the vertex it failed at to
+the front.  The first restart that meets every need is the selection;
+when one fails in the front, or once |E| Y-visits are spent, the first
+pass's selection stands.  When the selection leaves no need it is a
 factor, and `find_2k_factor` returns it without laying out the gadget:
 the matcher would return that start, which has no exposed vertex, as
-it is.
+it is.  Otherwise the gadget, its start and the matcher's work are
+those of the first pass, so the restarts change no yes/no answer.
 
 `build_gadget` computes every vertex id up front, so its one pass over
 the host writes each vertex's owner and incidence partner, and the
@@ -128,12 +136,33 @@ class FactorSubgraph:
 
 
 def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
-    """The Y-local index of the first Y-vertex whose host degree is
-    below k, so that no factor can exist, or None when there is none."""
-    for j, xs in enumerate(g.y_neighbors):
-        if len(xs) < spec.k:
+    """The Y-local index of a Y-vertex that no factor can meet, or None
+    when there is none: the first Y-vertex whose host degree is below
+    k, or else the first with fewer than k X-neighbours of degree 2 or
+    more.  An X-vertex of degree 1 is never selected, and for y's d2
+    X-neighbours of degree 2 or more the pair ({}, {y}) has delta at
+    most d2 - k."""
+    k = spec.k
+    y_nbrs = g.y_neighbors
+    for j, xs in enumerate(y_nbrs):
+        if len(xs) < k:
             return j
+    if 1 in map(len, g.neighbors):
+        single = [len(ys) == 1 for ys in g.neighbors]
+        for j, xs in enumerate(y_nbrs):
+            if len(xs) - sum(single[x] for x in xs) < k:
+                return j
     return None
+
+
+def _restart_order(front: list[int], order: list[int], in_front: set[int]):
+    """The visit order of one restart of `greedy_selection`, built only
+    as far as it is read: the front, then the other Y-vertices of
+    `order`."""
+    yield from front
+    for y in order:
+        if y not in in_front:
+            yield y
 
 
 def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
@@ -151,12 +180,23 @@ def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
     met; an x with no partner is passed over.  Every Y-vertex with need
     left has scanned all its X-neighbours, so no unselected X-vertex has
     two Y-neighbours with need left: the selection is maximal.  When
-    the unmet need is 0 it is a (2,k)-factor."""
+    the unmet need is 0 it is a (2,k)-factor.
+
+    When this first pass leaves need, the selection is rebuilt from
+    scratch by restarts, after squeaky-wheel optimisation (Joslin and
+    Clements 1999).  A restart visits the front first, the Y-vertices
+    that the first pass left with need in its order, then the others in
+    degree order, and stops at the first Y-vertex it leaves with need,
+    which joins the end of the front.  The first restart that meets
+    every need is returned, with unmet 0.  The restarts end when one
+    stops at a vertex already in the front, or when they have visited
+    |E| Y-vertices in all, |E| the host's incidence count; then the
+    first pass's selection and need are returned as they were.  So there
+    are at most |Y| restarts, with fewer than |E| + |Y| visits."""
     k = spec.k
     nbrs = g.neighbors
     y_nbrs = g.y_neighbors
-    need = [k] * g.y_count
-    left = list(map(len, y_nbrs))
+    degree = list(map(len, y_nbrs))
     if len(set(map(len, nbrs))) > 1:
         # Each Y-vertex's X-neighbours, fewest Y-neighbours first; with
         # one X-degree this is X order, the order of `y_neighbors`.
@@ -165,9 +205,10 @@ def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
             for y in nbrs[x]:
                 rows[y].append(x)
         y_nbrs = rows
-    picks: list[tuple[int, ...]] = [()] * g.x_count
-    unmet = 0
-    for y in sorted(range(g.y_count), key=left.__getitem__):
+
+    def visit(y: int) -> int:
+        # Select X-vertices on y until its need is met; return the need
+        # it keeps.
         r = need[y]
         for x in y_nbrs[y]:
             if r == 0:
@@ -188,8 +229,33 @@ def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
             for w in ys:
                 left[w] -= 1
         need[y] = r
-        unmet += r
-    return tuple(picks), unmet
+        return r
+
+    need = [k] * g.y_count
+    left = degree[:]
+    picks: list[tuple[int, ...]] = [()] * g.x_count
+    order = sorted(range(g.y_count), key=degree.__getitem__)
+    front = [y for y in order if visit(y)]
+    if not front:
+        return tuple(picks), 0
+    first = tuple(picks), sum(need[y] for y in front)
+    in_front = set(front)
+    visits, cap = 0, sum(degree)
+    while visits < cap:
+        need = [k] * g.y_count
+        left = degree[:]
+        picks = [()] * g.x_count
+        for y in _restart_order(front, order, in_front):
+            visits += 1
+            if visit(y):
+                break
+        else:
+            return tuple(picks), 0
+        if y in in_front:
+            break
+        front.append(y)
+        in_front.add(y)
+    return first
 
 
 def build_gadget(g: BipartiteGraph, spec: DegreeSpec,
@@ -297,25 +363,35 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    trace: Callable[[str], None] | None = None
                    ) -> FactorSubgraph | None:
     """Search for a (2,k)-factor of the host graph; None when there is
-    none.  A Y-vertex of degree below k answers None before anything
-    else.  Otherwise `greedy_selection` chooses the warm start on the
-    host.  When it meets every need it is the factor, and no gadget is
-    laid out: it is what the gadget's matcher would return from that
-    start, which is already perfect.  Otherwise `build_gadget` encodes
-    it, `complete_matching` extends it to a perfect matching of the
-    gadget from the copies it left unmet, building only the vertices its
-    forests reach, and the factor is read off the mate array: the host
-    edges whose incidence edge is left unmatched, both at once for a
-    contracted X-vertex.  A matcher phase that augments nothing ends on
-    a Hungarian forest and shows there is no factor.  A factor is
-    checked by `verify_2k_factor` before it is returned.  `trace`
-    receives progress lines, whose counts come from the module
-    docstring's closed forms, so that tracing lays out nothing."""
+    none.  A Y-vertex that `sparse_y_vertex` finds, of degree below k or
+    with fewer than k X-neighbours of degree 2 or more, answers None
+    before anything else.  Otherwise `greedy_selection` chooses the warm
+    start on the host, by its degree-ordered pass and, when that leaves
+    need, by at most |Y| restarts and fewer than |E| + |Y| Y-visits.
+    When it meets every need it is the factor, and no gadget is laid
+    out: it is what the gadget's matcher would return from that start,
+    which is already perfect.  Otherwise it is the degree-ordered pass's
+    selection, `build_gadget` encodes it, `complete_matching` extends it
+    to a perfect matching of the gadget from the copies it left unmet,
+    building only the vertices its forests reach, and the factor is read
+    off the mate array: the host edges whose incidence edge is left
+    unmatched, both at once for a contracted X-vertex.  A matcher phase
+    that augments nothing ends on a Hungarian forest and shows there is
+    no factor.  A factor is checked by `verify_2k_factor` before it is
+    returned.  `trace` receives progress lines, whose counts come from
+    the module docstring's closed forms, so that tracing lays out
+    nothing."""
     y = sparse_y_vertex(g, spec)
     if y is not None:
         if trace:
-            trace(f"gadget: Y-vertex {y} has degree "
-                  f"{len(g.y_neighbors[y])} < k = {spec.k}, no factor")
+            xs = g.y_neighbors[y]
+            if len(xs) < spec.k:
+                trace(f"gadget: Y-vertex {y} has degree {len(xs)} < k = "
+                      f"{spec.k}, no factor")
+            else:
+                d2 = sum(len(g.neighbors[x]) > 1 for x in xs)
+                trace(f"gadget: Y-vertex {y} has {d2} X-neighbours of "
+                      f"degree >= 2 < k = {spec.k}, no factor")
         return None
     selection, unmet = greedy_selection(g, spec)
     if trace:

@@ -438,3 +438,33 @@ def max_matching_reference(g):
             _augment_from_reference(v, adj, match, n)
     pairs = [(v, match[v]) for v in range(n) if v < match[v]]
     return tuple(sorted(pairs))
+
+
+def greedy_single_pass(g, k):
+    """The degree-ordered pass of `factor_solver.greedy_selection`
+    alone, without its restarts: Y-vertices by ascending degree, ties by
+    id; each takes its unselected X-neighbours by ascending degree, ties
+    by id, pairing each with the Y-neighbour of least slack (unselected
+    X-neighbours less need) that still has need, the first in N(x) on a
+    tie, until its own need is met.  Returns the selection (a pair of
+    Y-vertices or () per X-vertex) and the need left unmet."""
+    rows = g.neighbors
+    xs_of = [[x for x in range(g.x_count) if y in rows[x]]
+             for y in range(g.y_count)]
+    need = [k] * g.y_count
+    left = [len(xs) for xs in xs_of]
+    picks = [()] * g.x_count
+    for y in sorted(range(g.y_count), key=lambda y: (len(xs_of[y]), y)):
+        for x in sorted(xs_of[y], key=lambda x: (len(rows[x]), x)):
+            if need[y] == 0:
+                break
+            partners = [w for w in rows[x] if w != y and need[w] > 0]
+            if picks[x] or not partners:
+                continue
+            z = min(partners, key=lambda w: left[w] - need[w])
+            picks[x] = tuple(sorted((y, z)))
+            need[y] -= 1
+            need[z] -= 1
+            for w in rows[x]:
+                left[w] -= 1
+    return tuple(picks), sum(need)

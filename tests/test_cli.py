@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import bergefactor
-from bergefactor import BipartiteGraph, DegreeSpec, delta, incidence_graph
+from bergefactor import (BipartiteGraph, DegreeSpec, Hypergraph, delta,
+                         incidence_graph)
 from bergefactor.cli import build_parser, cli
 from bergefactor.families import complete_uniform, cycle, path, star
 from bergefactor.formats import serialize_bar, serialize_big, serialize_hg
@@ -180,6 +181,25 @@ def test_factor_past_budget_prints_sparse_vertex_barrier(capsys, tmp_path):
     f = tmp_path / "star30.bar"
     f.write_text(bar)
     code, out, _ = run(capsys, "verify", str(hg), str(f), "-k", "2")
+    assert (code, out) == (0, "accept: barrier delta=-2\n")
+
+
+def test_factor_past_budget_prints_singleton_sparse_barrier(capsys,
+                                                           tmp_path):
+    # 90 host vertices, over the scan budget.  Every vertex of the cycle
+    # has degree 3 = k, but its singleton edge is never selected, so
+    # vertex 0 has only 2 X-neighbours that a factor can use.
+    hg = tmp_path / "c30s.hg"
+    edges = [(i, (i + 1) % 30) for i in range(30)] + [(i,) for i in range(30)]
+    hg.write_text(serialize_hg(Hypergraph(30, edges)))
+    code, out, err = run(capsys, "factor", str(hg), "-k", "3")
+    assert (code, err) == (1, "")
+    first, bar = out.split("\n", 1)
+    assert first == "no Berge-3-factor: barrier delta=-2"
+    assert bar.startswith("-2 0 1\n\n60\nodd 1 0\n")
+    f = tmp_path / "c30s.bar"
+    f.write_text(bar)
+    code, out, _ = run(capsys, "verify", str(hg), str(f), "-k", "3")
     assert (code, out) == (0, "accept: barrier delta=-2\n")
 
 

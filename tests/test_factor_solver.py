@@ -16,6 +16,7 @@ from bergefactor import (
     complete_matching,
     decide_by_criterion,
     deficiency_scan,
+    delta,
     enumerate_bipartite_graphs,
     enumerate_graph_edge_sets,
     find_2k_factor,
@@ -121,8 +122,11 @@ def test_gadget_infeasible_low_degree():
 
 def test_gadget_deficiency_past_sparse_y_vertex():
     # Tutte-Berge holds on sparse hosts too: the package gadget's
-    # deficiency |V| - 2 nu equals the independent builder's
-    pairs = 0
+    # deficiency |V| - 2 nu equals the independent builder's, and it is
+    # positive, so no factor exists.  Of the sparse hosts, `low` have a
+    # Y-vertex of degree below k; the others have one with fewer than k
+    # X-neighbours of degree 2 or more.
+    pairs = low = 0
     for g in enumerate_bipartite_graphs(6):
         for k in (1, 2, 3):
             spec = DegreeSpec(k)
@@ -130,9 +134,45 @@ def test_gadget_deficiency_past_sparse_y_vertex():
                 continue
             gg = build_gadget(g, spec).graph
             got = gg.n - 2 * len(max_matching(gg))
-            assert got == oracles.gadget_deficiency(g, k), (g, k)
+            assert got == oracles.gadget_deficiency(g, k) > 0, (g, k)
             pairs += 1
-    assert pairs == 1726
+            low += min(map(len, g.y_neighbors)) < k
+    assert (pairs, low) == (1900, 1726)
+
+
+def test_sparse_y_vertex_counts_only_selectable_neighbours():
+    # An X-vertex of degree 1 is never selected.  The first Y-vertex of
+    # degree below k comes first; failing that, the first with fewer
+    # than k X-neighbours of degree 2 or more.  Its pair ({}, {y}) is a
+    # barrier of delta at most d2 - k, and where no Y-vertex is sparse
+    # each has k such neighbours.
+    found = 0
+    for g in enumerate_bipartite_graphs(6):
+        deg = [len(ys) for ys in g.neighbors]
+        for k in (1, 2, 3):
+            y = sparse_y_vertex(g, DegreeSpec(k))
+            d2 = [sum(deg[x] > 1 for x in xs) for xs in g.y_neighbors]
+            low = [j for j, xs in enumerate(g.y_neighbors) if len(xs) < k]
+            want = low or [j for j, d in enumerate(d2) if d < k]
+            assert y == (want[0] if want else None), (g, k)
+            if y is None or low:
+                continue
+            found += 1
+            rec = delta(g, (), (g.x_count + y,), DegreeSpec(k))
+            assert rec.delta <= d2[y] - k < 0, (g, k)
+    assert found == 174
+    # a 30-cycle with a singleton edge at every vertex: degree 3, but
+    # only the two cycle edges can be selected
+    h = Hypergraph(30, [(i, (i + 1) % 30) for i in range(30)]
+                   + [(i,) for i in range(30)])
+    g = incidence_graph(h)
+    assert sparse_y_vertex(g, DegreeSpec(2)) is None
+    assert sparse_y_vertex(g, DegreeSpec(3)) == 0
+    lines = []
+    assert find_2k_factor(g, DegreeSpec(3), trace=lines.append) is None
+    assert lines == ["gadget: Y-vertex 0 has 2 X-neighbours of degree >= 2 "
+                     "< k = 3, no factor"]
+    assert delta(g, (), (g.x_count,), DegreeSpec(3)).delta == -2
 
 
 def _gadget_census():
@@ -211,10 +251,16 @@ def test_greedy_selection_is_maximal_within_need():
     # Y-vertex more than k, and no X-vertex left out has two Y-neighbours
     # with need left; the gadget's start encodes the selection, and
     # when the selection meets every need the factor search returns
-    # it, as the matcher would from that start
-    complete = 0
+    # it, as the matcher would from that start; a selection that leaves
+    # need is the degree-ordered pass's, with its restarts discarded
+    complete = restarted = 0
     for g, spec in chain(_gadget_census(), _contraction_hosts()):
         sel, unmet = greedy_selection(g, spec)
+        first = oracles.greedy_single_pass(g, spec.k)
+        if unmet or not first[1]:
+            assert (sel, unmet) == first, (g, spec)
+        else:
+            restarted += 1
         need = [spec.k] * g.y_count
         for ys, pick in zip(g.neighbors, sel):
             assert pick == () or (
@@ -234,7 +280,130 @@ def test_greedy_selection_is_maximal_within_need():
             complete += 1
             assert find_2k_factor(g, spec) == FactorSubgraph(
                 spec.k, tuple(chosen)), (g, spec)
-    assert complete == 657
+    assert (complete, restarted) == (716, 59)
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """[front length, Y-vertices visited] of each restart of
+    `greedy_selection`."""
+    log = []
+    real = factor_solver._restart_order
+
+    def counted(front, *args):
+        log.append([len(front), 0])
+        for y in real(front, *args):
+            log[-1][1] += 1
+            yield y
+
+    monkeypatch.setattr(factor_solver, "_restart_order", counted)
+    return log
+
+
+def _within_bound(g, log):
+    # at most |Y| restarts, each starting before |E| Y-visits were spent
+    cap = sum(map(len, g.neighbors))
+    spent = [sum(v for _, v in log[:i]) for i in range(len(log))]
+    return len(log) <= g.y_count and all(s < cap for s in spent)
+
+
+def _unequal_bipartite(rng, n, k, gap):
+    # 2-uniform, with sides of (n - gap) // 2 and the rest of the n
+    # vertices and every vertex of degree >= k, then n // 2 more random
+    # edges: a k-regular spanning multigraph would need k|A| = k|B|
+    a = rng.sample(range(n), (n - gap) // 2)
+    b = [v for v in range(n) if v not in a]
+    edges = set()
+    for side, other in ((a, b), (b, a)):
+        for u in side:
+            for v in rng.sample(other, k):
+                edges.add((min(u, v), max(u, v)))
+    for _ in range(n // 2):
+        u, v = rng.choice(a), rng.choice(b)
+        edges.add((min(u, v), max(u, v)))
+    return Hypergraph(n, sorted(edges))
+
+
+def test_greedy_restarts_leave_factor_less_hosts_as_the_first_pass(restarts):
+    # no restart can meet every need on a factor-less host, so the
+    # degree-ordered pass is returned as it was: on small random hosts
+    # and on hosts shaped like the `nofactor-large` workload
+    rng = random.Random(67)
+    hosts = []
+    while len(hosts) < 60:
+        g = _random_bipartite(rng, 8, 6)
+        k = rng.choice((1, 2, 3))
+        if sparse_y_vertex(g, DegreeSpec(k)) is None and not (
+                oracles.has_2k_factor(g.x_count, g.y_count, g.neighbors, k)):
+            hosts.append((g, k))
+    for i in range(30):
+        k = 2 + i % 2
+        n = rng.randint(20, 60)
+        hosts.append((incidence_graph(
+            _unequal_bipartite(rng, n + k * n % 2, k, 1 + i % 4)), k))
+    runs = 0
+    for g, k in hosts:
+        restarts.clear()
+        assert greedy_selection(g, DegreeSpec(k)) == (
+            oracles.greedy_single_pass(g, k)), (g, k)
+        assert restarts and _within_bound(g, restarts), (g, k)
+        runs += len(restarts)
+    assert runs == 194
+
+
+def test_greedy_restarts_answer_census_size_hosts(restarts):
+    # hypergraphs shaped like the `census` workload's: n 10..14, n..3n
+    # edges of size 2..6, k with kn even.  A selection that meets every
+    # need is the factor, verified; the yes/no equals the independent
+    # gadget's deficiency; and a restart answers most of the hosts with
+    # a factor whose degree-ordered pass left need
+    rng = random.Random(71)
+    restarted = gadgets = none = 0
+    for _ in range(300):
+        n = rng.randint(10, 14)
+        k = rng.choice([k for k in (1, 2, 3) if k * n % 2 == 0])
+        h = Hypergraph(n, [
+            tuple(sorted(rng.sample(range(n), rng.randint(2, 6))))
+            for _ in range(rng.randint(n, 3 * n))])
+        g = incidence_graph(h)
+        restarts.clear()
+        sel, unmet = greedy_selection(g, DegreeSpec(k))
+        assert _within_bound(g, restarts), (h, k)
+        f = find_2k_factor(g, DegreeSpec(k))
+        assert (f is not None) == (oracles.gadget_deficiency(g, k) == 0)
+        if not unmet:
+            assert f == FactorSubgraph(k, tuple(
+                (x, y) for x, pick in enumerate(sel) for y in pick))
+            assert verify_2k_factor(g, f)
+            restarted += bool(restarts)
+        elif f is not None:
+            gadgets += 1
+        else:
+            none += 1
+    assert (restarted, gadgets, none) == (36, 1, 37)
+
+
+@pytest.mark.parametrize("h, k, passes, visits", [
+    # each restart of the odd cycle fails at a new vertex, one position
+    # earlier than the last, until |E| = 42 visits are spent
+    (cycle(21), 1, [[1, 21], [2, 20], [3, 19]], 60),
+    # each restart of K_21 fails at a new vertex, at the end of the
+    # visit order, until the front holds 11 and the next fails in it
+    (complete_graph(21), 1, [[f, 21] for f in range(1, 11)] + [[11, 11]],
+     221),
+])
+def test_greedy_restarts_stop_within_their_bound(restarts, h, k, passes,
+                                                 visits):
+    # a factor-less host on which restarts keep failing at new vertices:
+    # they end after at most |Y| restarts and fewer than |E| + |Y|
+    # Y-visits, with the degree-ordered pass's selection
+    g = incidence_graph(h)
+    assert greedy_selection(g, DegreeSpec(k)) == (
+        oracles.greedy_single_pass(g, k))
+    assert restarts == passes
+    assert sum(v for _, v in restarts) == visits
+    assert _within_bound(g, restarts)
+    assert visits < sum(map(len, g.neighbors)) + g.y_count
 
 
 def _graph_classes(n):
@@ -353,11 +522,11 @@ def laid_out(monkeypatch):
 @pytest.mark.parametrize("h, k, n, want", [
     # the selection is a factor, so no gadget is laid out
     (cycle(4), 2, 16, 0),
-    # it leaves 4 copies unmet, and the forests from them reach 27 of
-    # the 48 vertices
-    (complete_graph(6), 3, 48, 27),
+    # the first pass leaves 4 copies unmet, and a restart meets them
+    (complete_graph(6), 3, 48, 0),
     (complete_graph(6), 1, 36, 0),  # a factor again
-    # 2 copies unmet, 17 of the 30 vertices reached
+    # the restarts leave 2 copies unmet, and the forests from them reach
+    # 17 of the 30 vertices
     (complete_graph(5), 2, 30, 17),
 ])
 def test_factor_search_builds_only_what_its_forests_reach(laid_out, h, k,

@@ -29,7 +29,7 @@ def counted(*args):
 
 
 fs.build_gadget = counted
-for h, k in ((cycle(4), 2), (complete_graph(6), 3)):
+for h, k in ((cycle(4), 2), (complete_graph(5), 2)):
     laid.clear()
     try:
         fs.find_2k_factor(incidence_graph(h), DegreeSpec(k))
@@ -116,13 +116,14 @@ def doctored(involution):
     return build
 
 
-# The selection on K_6 at k = 3 leaves need 4, so a gadget is laid out.
+# The selection on K_5 at k = 2 leaves need 2 after its restarts, so a
+# gadget is laid out.
 matching._augment_from = counted
 for involution in (False, True):
     fs.build_gadget = doctored(involution)
     searches.clear()
     try:
-        fs.find_2k_factor(incidence_graph(complete_graph(6)), DegreeSpec(3))
+        fs.find_2k_factor(incidence_graph(complete_graph(5)), DegreeSpec(2))
     except ValueError as e:
         print(f"raised after {len(searches)} searches:", e)
     else:

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Matching,
-                         build_gadget, complete_matching, find_2k_factor,
-                         incidence_graph, is_perfect, matching, max_matching)
+from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Hypergraph,
+                         Matching, build_gadget, complete_matching,
+                         find_2k_factor, incidence_graph, is_perfect, matching,
+                         max_matching)
 from bergefactor.families import complete_bipartite, complete_graph, star
 
 import oracles
@@ -161,14 +162,24 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def _seeded_hypergraph(seed):
+    # n 4..10 vertices, n..3n edges, most of size 2, the rest 3 or 4
+    rng = random.Random(seed)
+    n = rng.randint(4, 10)
+    return Hypergraph(n, [
+        tuple(sorted(rng.sample(range(n), rng.choice((2, 2, 2, 3, 4)))))
+        for _ in range(rng.randint(n, 3 * n))])
+
+
 @pytest.mark.parametrize("h, k, want", [
     # one phase from every exposed vertex retires no tree: its forest is
     # Hungarian, so there is no factor and no search follows
     (star(4), 1, [(3, 0)]),
     (complete_bipartite(2, 4), 2, [(4, 0)]),
-    # four roots: the first phase joins two trees, and the second phase,
-    # from the two roots still exposed, joins the last two
-    (complete_graph(6), 3, [(4, 2), (2, 2)]),
+    # a 10-vertex host whose greedy restarts leave four roots: the first
+    # phase joins two trees, and the second phase, from the two roots
+    # still exposed, joins the last two
+    (_seeded_hypergraph(23), 3, [(4, 2), (2, 2)]),
     # three roots: one augmentation leaves one, whose phase fails
     (complete_graph(5), 3, [(3, 2), (1, 0)]),
 ])

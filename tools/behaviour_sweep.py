@@ -67,8 +67,8 @@ def big_text(ny: int, rows) -> str:
 def corpus() -> dict[str, str]:
     """File name -> text: named families, random files with at most 14
     vertices in the incidence view, the larger and the dense `tough*.hg`
-    files, then malformed files, some with a second fault that the
-    first hides."""
+    files, a 30-cycle with a singleton edge at every vertex, then
+    malformed files, some with a second fault that the first hides."""
     files = {}
     for n in range(2, 7):
         files[f"path{n}.hg"] = hg_text(n, [(i, i + 1) for i in range(n - 1)])
@@ -123,6 +123,11 @@ def corpus() -> dict[str, str]:
     files["tough_dense.hg"] = hg_text(
         n, [(label[u], label[v]) for u, v in combinations(range(n), 2)
             if rng.random() < 0.6])
+    # Over every scan budget, with singleton edges: each vertex of the
+    # cycle has degree 3 but only 2 edges that a factor can select, so
+    # `factor` at k = 3 answers without the scan.
+    files["cycle30_singletons.hg"] = hg_text(
+        30, [(i, (i + 1) % 30) for i in range(30)] + [(i,) for i in range(30)])
     files["bad_int.hg"] = "3 2\n0 5\n1 x\n"
     files["bad_order.hg"] = "3 2\n0 5\n2 1\n"
     files["bad_range.hg"] = "3 3\n0 1\n1 3\n0 4\n"

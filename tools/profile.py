@@ -17,15 +17,19 @@ the `src/` tree next to this script.
 `matcher` (any workload; C = 150) follows `find_2k_factor` on each
 instance.  It leaves out hosts that `sparse_y_vertex` answers, runs
 `greedy_selection` on the rest and counts those whose selection is
-already a factor, which are answered without a gadget.  On each other
-host it lays out the split-incidence gadget from the selection and runs
-the matcher: `complete_matching` from the gadget's warm start, on an
-adjacency that the gadget's expander builds only where the forests
-reach.  It counts the calls of the search kernel
-`matching._augment_from` and the vertices expanded, and prints:
+already a factor, which are answered without a gadget, and among them
+those that a restart answered, which it tells by wrapping
+`factor_solver._restart_order`.  On each other host it lays out the
+split-incidence gadget from the selection and runs the matcher:
+`complete_matching` from the gadget's warm start, on an adjacency that
+the gadget's expander builds only where the forests reach.  It counts
+the calls of the search kernel `matching._augment_from` and the
+vertices expanded, and prints:
 
     gadgets          gadgets laid out
     complete_starts  hosts answered by the selection, with no gadget
+    restarted        of those, hosts whose degree-ordered pass left
+                     need and a restart met it
     gadget_vertices  vertices per gadget, mean
     gadget_edges     edges per gadget, mean
     perfect          gadgets with a perfect matching
@@ -74,7 +78,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from bergefactor import hypergraph, matching  # noqa: E402
+from bergefactor import factor_solver, hypergraph, matching  # noqa: E402
 from bergefactor.factor_solver import (build_gadget, greedy_selection,  # noqa: E402
                                        sparse_y_vertex)
 from bergefactor.formats import parse_big, parse_hg  # noqa: E402
@@ -92,18 +96,31 @@ Profile = tuple[int, dict, Callable[[], None]]
 
 def matcher(insts) -> Profile:
     built = []
-    complete = 0
-    for inst in insts:
-        host = (incidence_graph(parse_hg(inst.text)) if inst.suffix == ".hg"
-                else parse_big(inst.text))
-        spec = DegreeSpec(inst.k)
-        if sparse_y_vertex(host, spec) is not None:
-            continue
-        selection, unmet = greedy_selection(host, spec)
-        if unmet:
-            built.append(build_gadget(host, spec, selection))
-        else:
-            complete += 1
+    complete = restarted = 0
+    order = factor_solver._restart_order
+    runs = []
+
+    def counted_order(*args):
+        runs.append(1)
+        return order(*args)
+
+    factor_solver._restart_order = counted_order
+    try:
+        for inst in insts:
+            host = (incidence_graph(parse_hg(inst.text))
+                    if inst.suffix == ".hg" else parse_big(inst.text))
+            spec = DegreeSpec(inst.k)
+            if sparse_y_vertex(host, spec) is not None:
+                continue
+            runs.clear()
+            selection, unmet = greedy_selection(host, spec)
+            if unmet:
+                built.append(build_gadget(host, spec, selection))
+            else:
+                complete += 1
+                restarted += bool(runs)
+    finally:
+        factor_solver._restart_order = order
 
     calls = {"phases": 0, "single_root": 0, "augmentations": 0}
     kernel = matching._augment_from
@@ -135,6 +152,7 @@ def matcher(insts) -> Profile:
     per = max(1, len(built))
     counts = {
         "complete_starts": complete,
+        "restarted": restarted,
         "gadget_vertices": f"{sum(gd.n for gd in built) / per:.1f}",
         "gadget_edges": f"{sum(len(gd.graph.edges) for gd in built) / per:.1f}",
         "perfect": perfect, **calls, "expanded": f"{expanded / per:.3f}"}
