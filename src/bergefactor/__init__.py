@@ -11,10 +11,9 @@ starts at any root.  The two routes are independent and cross-checked.
 """
 
 from .budget import BudgetExceededError
-from .factor_solver import (FactorSubgraph, GadgetGraph, build_gadget,
-                            find_2k_factor, find_berge_k_factor,
-                            greedy_selection, lift_to_berge, sparse_y_vertex,
-                            verify_2k_factor)
+from .factor_solver import (GadgetGraph, build_gadget, find_2k_factor,
+                            find_berge_k_factor, greedy_selection,
+                            lift_to_berge, sparse_y_vertex, verify_2k_factor)
 from .formats import (FormatError, load_barrier, load_bipartite,
                       load_certificate, load_hypergraph, parse_bar,
                       parse_big, parse_bkf, parse_hg, serialize_bar,
@@ -42,9 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "FactorSubgraph", "GadgetGraph", "build_gadget", "find_2k_factor",
-    "find_berge_k_factor", "greedy_selection", "lift_to_berge",
-    "sparse_y_vertex", "verify_2k_factor",
+    "GadgetGraph", "build_gadget", "find_2k_factor", "find_berge_k_factor",
+    "greedy_selection", "lift_to_berge", "sparse_y_vertex",
+    "verify_2k_factor",
     "FormatError", "load_barrier", "load_bipartite", "load_certificate",
     "load_hypergraph", "parse_bar", "parse_big", "parse_bkf", "parse_hg",
     "serialize_bar", "serialize_big", "serialize_bkf", "serialize_hg",

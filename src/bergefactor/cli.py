@@ -17,7 +17,7 @@ from .budget import BudgetExceededError
 # incidence graph once for the search and the barrier fallback, but
 # bench/tracing.py wraps it under this module's name.
 from .factor_solver import (find_2k_factor, find_berge_k_factor,  # noqa: F401
-                            lift_to_berge, sparse_y_vertex)
+                            lift_to_berge, sparse_reason, sparse_y_vertex)
 from .formats import (load_barrier, load_bipartite, load_certificate,
                       load_hypergraph, serialize_bar, serialize_big,
                       serialize_bkf)
@@ -101,9 +101,9 @@ def _cmd_factor(args) -> int:
     h = load_hypergraph(args.file)
     spec = DegreeSpec(args.k)
     g = incidence_graph(h)
-    factor = find_2k_factor(g, spec, trace=trace)
-    if factor is not None:
-        text = serialize_bkf(lift_to_berge(h, factor))
+    cert = find_2k_factor(g, spec, trace=trace)
+    if cert is not None:
+        text = serialize_bkf(lift_to_berge(h, cert))
         if args.output:
             Path(args.output).write_text(text)
             print(f"certificate written to {args.output}")
@@ -123,11 +123,7 @@ def _cmd_factor(args) -> int:
             raise
         br = delta(g, (), (g.x_count + y,), spec)
         if br.delta >= 0:
-            xs = g.y_neighbors[y]
-            what = (f"of degree {len(xs)}" if len(xs) < args.k else
-                    f"with {sum(len(g.neighbors[x]) > 1 for x in xs)} "
-                    "X-neighbours of degree >= 2")
-            raise RuntimeError(f"Y-vertex {y} {what} < k gave delta "
+            raise RuntimeError(f"{sparse_reason(g, spec, y)} gave delta "
                                f"{br.delta}")
     print(f"no Berge-{args.k}-factor: barrier delta={br.delta}")
     sys.stdout.write(serialize_bar(br))

@@ -25,21 +25,26 @@ for |E| incidences, for every host: a Y-vertex of host degree < k leaves
 copies exposed, so its gadget has no perfect matching, and so does one
 with fewer than k X-neighbours of degree 2 or more, since an X-vertex
 of degree 1 is never selected.  `find_2k_factor` checks for such a
-vertex first (`sparse_y_vertex`) and answers None without building the
-gadget.
+vertex first (`sparse_y_vertex`), then that k|Y| is even, since a
+factor's Y-degrees sum to k|Y| and its X-degrees to twice the selected
+X-vertices; either failing answers None without building the gadget.
 
 The warm start for the matcher is a maximal selection of X-vertices
 that `greedy_selection` makes on the host, most constrained first,
-before any gadget vertex exists.  When its degree-ordered pass leaves
-need, it restarts with the Y-vertices that pass left unmet visited
-first, and each restart that fails moves the vertex it failed at to
-the front.  The first restart that meets every need is the selection;
-when one fails in the front, or once |E| Y-visits are spent, the first
-pass's selection stands.  When the selection leaves no need it is a
-factor, and `find_2k_factor` returns it without laying out the gadget:
-the matcher would return that start, which has no exposed vertex, as
-it is.  Otherwise the gadget, its start and the matcher's work are
-those of the first pass, so the restarts change no yes/no answer.
+before any gadget vertex exists; its docstring gives the restart rule.
+When the selection leaves no need it is a factor, and `find_2k_factor`
+returns it without laying out the gadget: the matcher would return that
+start, which has no exposed vertex, as it is.  Otherwise the gadget,
+its start and the matcher's work are those of the degree-ordered pass,
+so the restarts change no yes/no answer.
+
+A (2,k)-factor of the incidence graph of a hypergraph H is a
+Berge-k-factor of H: each selected X-vertex (hyperedge) x places the
+multigraph edge of its two selected Y-neighbours y1 < y2 inside x.  So
+the factor is returned as a `BergeFactorCertificate` with pairs
+(x, (y1, y2)) in X order, on the greedy path and on the gadget path
+alike, and `verify_2k_factor` and `verify_berge_factor` check it by
+one kernel, on the host's X-rows and on H's edges.
 
 `build_gadget` computes every vertex id up front, so its one pass over
 the host writes each vertex's owner and incidence partner, and the
@@ -60,7 +65,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .hypergraph import BergeFactorCertificate, Hypergraph, Verdict, verify_berge_factor
+from .hypergraph import (BergeFactorCertificate, Hypergraph, Verdict,
+                         _check_factor, verify_berge_factor)
 from .incidence import BipartiteGraph, incidence_graph
 # max_matching is not called here since a factor needs a perfect
 # matching, but bench/tracing.py wraps it under this module's name.
@@ -93,17 +99,23 @@ class GadgetGraph:
     def n(self) -> int:
         return len(self.start)
 
-    def selected(self, match: Sequence[int]) -> list[tuple[int, int]]:
-        """The host edges (x, y), y local, whose incidence edge the mate
-        array `match` leaves unmatched, in host order."""
+    def selected(self, match: Sequence[int]
+                 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each X-vertex x with the ascending tuple of its Y-neighbours
+        (local) whose incidence edge the mate array `match` leaves
+        unmatched, in X order, where that tuple is not empty."""
         link = self.link
         out = []
         for x, (v, ys) in enumerate(zip(self.anchor, self.host.neighbors)):
-            for i, y in enumerate(ys):
-                e = v if len(ys) == 2 else v + i
-                if match[e] != link[e]:
-                    out.append((x, y))
-        return out
+            if len(ys) == 2:
+                if match[v] != link[v]:
+                    out.append((x, ys))
+                continue
+            pick = tuple(y for i, y in enumerate(ys, v)
+                         if match[i] != link[i])
+            if pick:
+                out.append((x, pick))
+        return tuple(out)
 
     @cached_property
     def inter_edges(self) -> dict[tuple[int, int], tuple[int, int]]:
@@ -120,19 +132,6 @@ class GadgetGraph:
     def graph(self) -> GeneralGraph:
         return GeneralGraph.from_adjacency(
             tuple(map(self.expand, range(self.n))))
-
-
-@dataclass(frozen=True)
-class FactorSubgraph:
-    """A (2,k)-factor as a set of host edges (x_index, y_index), both
-    sides in local coordinates."""
-
-    k: int
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def make(cls, k: int, edges) -> "FactorSubgraph":
-        return cls(k, tuple(sorted(tuple(e) for e in edges)))
 
 
 def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
@@ -153,6 +152,16 @@ def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
             if len(xs) - sum(single[x] for x in xs) < k:
                 return j
     return None
+
+
+def sparse_reason(g: BipartiteGraph, spec: DegreeSpec, y: int) -> str:
+    """Why Y-vertex y, which `sparse_y_vertex` found, has no factor."""
+    xs = g.y_neighbors[y]
+    if len(xs) < spec.k:
+        return f"Y-vertex {y} has degree {len(xs)} < k = {spec.k}"
+    d2 = sum(len(g.neighbors[x]) > 1 for x in xs)
+    return (f"Y-vertex {y} has {d2} X-neighbours of degree >= 2 "
+            f"< k = {spec.k}")
 
 
 def _restart_order(front: list[int], order: list[int], in_front: set[int]):
@@ -361,37 +370,33 @@ def build_gadget(g: BipartiteGraph, spec: DegreeSpec,
 
 def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    trace: Callable[[str], None] | None = None
-                   ) -> FactorSubgraph | None:
+                   ) -> BergeFactorCertificate | None:
     """Search for a (2,k)-factor of the host graph; None when there is
     none.  A Y-vertex that `sparse_y_vertex` finds, of degree below k or
     with fewer than k X-neighbours of degree 2 or more, answers None
-    before anything else.  Otherwise `greedy_selection` chooses the warm
-    start on the host, by its degree-ordered pass and, when that leaves
-    need, by at most |Y| restarts and fewer than |E| + |Y| Y-visits.
-    When it meets every need it is the factor, and no gadget is laid
-    out: it is what the gadget's matcher would return from that start,
-    which is already perfect.  Otherwise it is the degree-ordered pass's
-    selection, `build_gadget` encodes it, `complete_matching` extends it
-    to a perfect matching of the gadget from the copies it left unmet,
-    building only the vertices its forests reach, and the factor is read
-    off the mate array: the host edges whose incidence edge is left
-    unmatched, both at once for a contracted X-vertex.  A matcher phase
-    that augments nothing ends on a Hungarian forest and shows there is
-    no factor.  A factor is checked by `verify_2k_factor` before it is
-    returned.  `trace` receives progress lines, whose counts come from
-    the module docstring's closed forms, so that tracing lays out
-    nothing."""
+    before anything else, and so does an odd k|Y|.  Otherwise
+    `greedy_selection` chooses the warm start on the host, by the rule
+    its docstring gives.  When it meets every need it is the factor,
+    and no gadget is laid out: it is what the gadget's matcher would
+    return from that start, which is already perfect.  Otherwise it is
+    the degree-ordered pass's selection, `build_gadget` encodes it,
+    `complete_matching` extends it to a perfect matching of the gadget
+    from the copies it left unmet, building only the vertices its
+    forests reach, and the factor is read off the mate array by
+    `GadgetGraph.selected`.  A matcher phase that augments nothing ends
+    on a Hungarian forest and shows there is no factor.  The factor is
+    the certificate of the module docstring, checked by
+    `verify_2k_factor` before it is returned.  `trace` receives progress
+    lines, whose counts come from the module docstring's closed forms,
+    so that tracing lays out nothing."""
     y = sparse_y_vertex(g, spec)
     if y is not None:
         if trace:
-            xs = g.y_neighbors[y]
-            if len(xs) < spec.k:
-                trace(f"gadget: Y-vertex {y} has degree {len(xs)} < k = "
-                      f"{spec.k}, no factor")
-            else:
-                d2 = sum(len(g.neighbors[x]) > 1 for x in xs)
-                trace(f"gadget: Y-vertex {y} has {d2} X-neighbours of "
-                      f"degree >= 2 < k = {spec.k}, no factor")
+            trace(f"gadget: {sparse_reason(g, spec, y)}, no factor")
+        return None
+    if spec.k * g.y_count % 2:
+        if trace:
+            trace(f"parity: k|Y| = {spec.k * g.y_count} is odd, no factor")
         return None
     selection, unmet = greedy_selection(g, spec)
     if trace:
@@ -410,63 +415,36 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                       f"augmenting path, perfect needs {n // 2}")
                 trace("no perfect matching: factor does not exist")
             return None
-        edges = gadget.selected(match)
+        pairs = gadget.selected(match)
     else:
-        edges = [(x, y) for x, pick in enumerate(selection) for y in pick]
+        pairs = tuple((x, pick) for x, pick in enumerate(selection) if pick)
     if trace:
         trace(f"matching: {n // 2} edges, perfect needs {n // 2} (n even)")
-    # Host order is the sorted order `FactorSubgraph.make` would give.
-    result = FactorSubgraph(spec.k, tuple(edges))
-    verdict = verify_2k_factor(g, result)
+    # X order with ascending pairs, as `BergeFactorCertificate.make`
+    # would give.
+    cert = BergeFactorCertificate(spec.k, pairs)
+    verdict = verify_2k_factor(g, cert)
     if not verdict:
         raise RuntimeError(
             f"gadget extraction produced a bad factor: {verdict.reason}")
     if trace:
-        trace(f"extraction: {len(result.edges)} host edges selected")
-    return result
+        trace(f"extraction: {2 * len(pairs)} host edges selected")
+    return cert
 
 
-def verify_2k_factor(g: BipartiteGraph, factor: FactorSubgraph) -> Verdict:
-    """Check a claimed (2,k)-factor against the host graph from scratch."""
-    nx, ny = g.x_count, g.y_count
-    seen = set()
-    for e in factor.edges:
-        if len(e) != 2 or not (0 <= e[0] < nx and 0 <= e[1] < ny):
-            return Verdict(False, f"malformed factor: edge {e}")
-        if e in seen:
-            return Verdict(False, f"malformed factor: edge {e} repeated")
-        seen.add(e)
-    for x, y in factor.edges:
-        if y not in g.neighbors[x]:
-            return Verdict(False, f"edge ({x}, {y}) not in host graph")
-    xdeg = [0] * nx
-    ydeg = [0] * ny
-    for x, y in factor.edges:
-        xdeg[x] += 1
-        ydeg[y] += 1
-    for x in range(nx):
-        if xdeg[x] not in (0, 2):
-            return Verdict(False, f"X-vertex {x} has degree {xdeg[x]}, want 0 or 2")
-    for y in range(ny):
-        if ydeg[y] != factor.k:
-            return Verdict(False, f"Y-vertex {y} has degree {ydeg[y]}, want {factor.k}")
-    return Verdict(True)
+def verify_2k_factor(g: BipartiteGraph, cert: BergeFactorCertificate
+                     ) -> Verdict:
+    """Check a claimed (2,k)-factor, given as its certificate, against
+    the host graph from scratch: `verify_berge_factor`'s check on the
+    X-rows, where an X-vertex may have no neighbour."""
+    return _check_factor(g.y_count, g.neighbors, cert)
 
 
-def lift_to_berge(h: Hypergraph, factor: FactorSubgraph) -> BergeFactorCertificate:
-    """Convert a (2,k)-factor of the incidence graph of `h` into a Berge
-    k-factor certificate and verify it against `h`: each X-vertex
-    (hyperedge) of degree 2 contributes the pair of its two selected
-    Y-vertices."""
-    by_edge: dict[int, list[int]] = {}
-    for x, y in factor.edges:
-        by_edge.setdefault(x, []).append(y)
-    pairs = []
-    for e, vs in sorted(by_edge.items()):
-        if len(vs) != 2:
-            raise ValueError(f"hyperedge {e} selected with degree {len(vs)}, want 2")
-        pairs.append((e, (vs[0], vs[1])))
-    cert = BergeFactorCertificate.make(factor.k, pairs)
+def lift_to_berge(h: Hypergraph, cert: BergeFactorCertificate
+                  ) -> BergeFactorCertificate:
+    """The Berge k-factor certificate of `h` that a (2,k)-factor of its
+    incidence graph is, checked against `h` by `verify_berge_factor`;
+    ValueError when it does not pass."""
     verdict = verify_berge_factor(h, cert)
     if not verdict:
         raise ValueError(f"lifted certificate is invalid: {verdict.reason}")
@@ -478,8 +456,5 @@ def find_berge_k_factor(h: Hypergraph, k: int, *,
                         ) -> BergeFactorCertificate | None:
     """End-to-end pipeline on a hypergraph: incidence graph, gadget
     matching, lift.  None when no Berge k-factor exists."""
-    spec = DegreeSpec(k)
-    factor = find_2k_factor(incidence_graph(h), spec, trace=trace)
-    if factor is None:
-        return None
-    return lift_to_berge(h, factor)
+    cert = find_2k_factor(incidence_graph(h), DegreeSpec(k), trace=trace)
+    return None if cert is None else lift_to_berge(h, cert)

@@ -387,21 +387,30 @@ def verify_berge_factor(h: Hypergraph, cert: BergeFactorCertificate) -> Verdict:
     """Accept iff the certificate is well formed, injective on hyperedge
     indices, each pair lies inside its hyperedge, and every vertex of `h`
     is covered exactly k times."""
-    m = len(h.edges)
-    for e, (u, v) in cert.pairs:
-        if not (0 <= e < m and 0 <= u < h.n and 0 <= v < h.n) or u == v:
-            return Verdict(False, f"malformed certificate: pair ({e}, ({u}, {v}))")
+    return _check_factor(h.n, h.edges, cert)
+
+
+def _check_factor(n: int, rows: Sequence[Sequence[int]],
+                  cert: BergeFactorCertificate) -> Verdict:
+    """`verify_berge_factor` on the hyperedges `rows` over vertices
+    0..n-1.  `factor_solver.verify_2k_factor` calls it on a bipartite
+    host's X-rows, which may be empty and so form no `Hypergraph`."""
+    m = len(rows)
+    for e, uv in cert.pairs:
+        if (len(uv) != 2 or not 0 <= e < m or uv[0] == uv[1]
+                or not all(0 <= u < n for u in uv)):
+            return Verdict(False, f"malformed certificate: pair ({e}, {uv})")
     seen: set[int] = set()
     for e, _pair in cert.pairs:
         if e in seen:
             return Verdict(False, f"injection violated: hyperedge {e} used twice")
         seen.add(e)
     for e, (u, v) in cert.pairs:
-        edge = h.edges[e]
+        edge = rows[e]
         if u not in edge or v not in edge:
             return Verdict(
                 False, f"containment violated: ({u}, {v}) not inside hyperedge {e}")
-    degree = [0] * h.n
+    degree = [0] * n
     for _e, (u, v) in cert.pairs:
         degree[u] += 1
         degree[v] += 1

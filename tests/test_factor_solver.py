@@ -7,9 +7,9 @@ from itertools import chain, combinations, permutations
 import pytest
 
 from bergefactor import (
+    BergeFactorCertificate,
     BipartiteGraph,
     DegreeSpec,
-    FactorSubgraph,
     GeneralGraph,
     Hypergraph,
     build_gadget,
@@ -275,11 +275,12 @@ def test_greedy_selection_is_maximal_within_need():
         assert gadget.start == build_gadget(g, spec).start, (g, spec)
         assert gadget.start.count(-1) == unmet, (g, spec)
         chosen = gadget.selected(gadget.start)
-        assert chosen == [(x, y) for x, pick in enumerate(sel) for y in pick]
+        assert chosen == tuple((x, pick) for x, pick in enumerate(sel)
+                               if pick)
         if not unmet:
             complete += 1
-            assert find_2k_factor(g, spec) == FactorSubgraph(
-                spec.k, tuple(chosen)), (g, spec)
+            assert find_2k_factor(g, spec) == BergeFactorCertificate(
+                spec.k, chosen), (g, spec)
     assert (complete, restarted) == (716, 59)
 
 
@@ -372,8 +373,8 @@ def test_greedy_restarts_answer_census_size_hosts(restarts):
         f = find_2k_factor(g, DegreeSpec(k))
         assert (f is not None) == (oracles.gadget_deficiency(g, k) == 0)
         if not unmet:
-            assert f == FactorSubgraph(k, tuple(
-                (x, y) for x, pick in enumerate(sel) for y in pick))
+            assert f == BergeFactorCertificate(k, tuple(
+                (x, pick) for x, pick in enumerate(sel) if pick))
             assert verify_2k_factor(g, f)
             restarted += bool(restarts)
         elif f is not None:
@@ -491,10 +492,12 @@ def test_lazy_search_returns_the_eager_factor():
         match = list(gadget.start)
         want = None
         if complete_matching(match, gadget.graph.adjacency):
-            want = FactorSubgraph.make(spec.k, [
-                (x, y - g.x_count)
-                for (x, y), (ex, ey) in gadget.inter_edges.items()
-                if match[ex] != ey])
+            picks = [[] for _ in g.neighbors]
+            for (x, y), (ex, ey) in gadget.inter_edges.items():
+                if match[ex] != ey:
+                    picks[x].append(y - g.x_count)
+            want = BergeFactorCertificate(spec.k, tuple(
+                (x, tuple(pick)) for x, pick in enumerate(picks) if pick))
         assert find_2k_factor(g, spec) == want, (g, spec)
 
 
@@ -557,8 +560,7 @@ def test_cycle_2_factor_uses_all_incidences():
     f = find_2k_factor(g, DegreeSpec(2))
     assert f is not None
     assert verify_2k_factor(g, f)
-    want = {(x, y) for x in range(5) for y in cycle(5).edges[x]}
-    assert set(f.edges) == want
+    assert f.pairs == tuple(enumerate(cycle(5).edges))
 
 
 def test_no_factor_on_star():
@@ -634,13 +636,14 @@ def test_trace_lines():
 
     # the gadget line counts edges by closed forms, without expanding
     # the gadget; they equal the eagerly built gadget's on seeded random
-    # hosts with X-vertices of degree 0, 1, 2 and more
+    # hosts with X-vertices of degree 0, 1, 2 and more, past the sparse
+    # and parity exits
     rng = random.Random(61)
     traced = set()
     for _ in range(300):
         g = _random_bipartite(rng, 8, 6)
         spec = DegreeSpec(rng.choice((1, 2, 3)))
-        if sparse_y_vertex(g, spec) is not None:
+        if sparse_y_vertex(g, spec) is not None or spec.k * g.y_count % 2:
             continue
         lines.clear()
         find_2k_factor(g, spec, trace=lines.append)
@@ -657,39 +660,80 @@ def test_trace_lines():
 
 
 def test_verify_2k_factor_rejections():
+    # one case per reason of the kernel it shares with
+    # `verify_berge_factor`, each on the host's X-rows
     g = incidence_graph(cycle(4))
     ok = find_2k_factor(g, DegreeSpec(2))
     assert verify_2k_factor(g, ok)
+    assert ok.pairs == tuple(enumerate(cycle(4).edges))
 
-    missing = FactorSubgraph.make(2, list(ok.edges)[:-1])
-    v = verify_2k_factor(g, missing)
-    assert not v and "degree" in v.reason
+    def check(pairs):
+        return verify_2k_factor(g, BergeFactorCertificate(2, pairs))
 
-    foreign = FactorSubgraph.make(2, [(0, 3)] + list(ok.edges)[1:])
-    v = verify_2k_factor(g, foreign)
-    assert not v and "not in host graph" in v.reason
+    v = check(ok.pairs + ((g.x_count, (0, 1)),))
+    assert not v and v.reason == (
+        f"malformed certificate: pair ({g.x_count}, (0, 1))")
+    v = check(ok.pairs[:-1] + ((3, (0, g.y_count)),))
+    assert not v and v.reason == (
+        f"malformed certificate: pair (3, (0, {g.y_count}))")
 
-    repeated = FactorSubgraph(2, (ok.edges[0],) + ok.edges)
-    v = verify_2k_factor(g, repeated)
-    assert not v
+    v = check(((0, (1, 1)),) + ok.pairs[1:])
+    assert not v and v.reason == "malformed certificate: pair (0, (1, 1))"
 
-    outside = FactorSubgraph.make(2, list(ok.edges) + [(g.x_count, 0)])
-    v = verify_2k_factor(g, outside)
-    assert not v and v.reason == f"malformed factor: edge ({g.x_count}, 0)"
+    v = check((ok.pairs[0],) + ok.pairs)
+    assert not v and v.reason == "injection violated: hyperedge 0 used twice"
 
-    # X-vertex 0 drops both its edges: every X-degree is still 0 or 2,
-    # but its two Y-neighbours fall to degree 1.
-    short = FactorSubgraph.make(2, [e for e in ok.edges if e[0] != 0])
-    v = verify_2k_factor(g, short)
-    assert not v and v.reason.endswith("has degree 1, want 2")
+    v = check(((0, (0, 3)),) + ok.pairs[1:])
+    assert not v and v.reason == (
+        "containment violated: (0, 3) not inside hyperedge 0")
+
+    # X-vertex 0 drops its pair: its two Y-neighbours fall to degree 1
+    v = check(ok.pairs[1:])
+    assert not v and v.reason == (
+        "degree violated: vertex 0 has degree 1, want 2")
 
 
 def test_verify_2k_factor_x_degree_rule():
-    # a single chosen incidence gives its X-vertex degree 1
-    g = BipartiteGraph(1, 1, [(0,)])
-    bad = FactorSubgraph.make(1, [(0, 0)])
-    v = verify_2k_factor(g, bad)
-    assert not v and "0 or 2" in v.reason
+    # an X-vertex takes the two ends of its pair, so X-degree 0 or 2
+    # needs no rule of its own: degree 1 or 3 is a pair of the wrong
+    # length, which is malformed
+    g = BipartiteGraph(1, 3, [(0, 1, 2)])
+    for pick in ((0,), (0, 1, 2)):
+        v = verify_2k_factor(g, BergeFactorCertificate(1, ((0, pick),)))
+        assert not v and v.reason == f"malformed certificate: pair (0, {pick})"
+
+
+def test_factor_is_the_berge_certificate():
+    # the (2,k)-factor of the incidence graph is the Berge certificate
+    # itself, canonical as `BergeFactorCertificate.make` would give it
+    rng = random.Random(73)
+    found = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        h = Hypergraph(n, [rng.sample(range(n), rng.randint(1, min(4, n)))
+                           for _ in range(rng.randint(1, 2 * n))])
+        k = rng.randint(1, 3)
+        cert = find_2k_factor(incidence_graph(h), DegreeSpec(k))
+        assert cert == find_berge_k_factor(h, k), (h, k)
+        if cert is not None:
+            found += 1
+            assert cert == BergeFactorCertificate.make(k, cert.pairs), (h, k)
+    assert found > 20
+
+
+def test_odd_k_times_y_answers_before_any_selection(monkeypatch):
+    # a factor's Y-degrees sum to k|Y|, twice the selected X-vertices,
+    # so K_21 at k = 1 has none, and the search says so before it
+    # selects or lays out anything
+    def refuse(*args):
+        raise AssertionError("called past the parity exit")
+
+    monkeypatch.setattr(factor_solver, "greedy_selection", refuse)
+    monkeypatch.setattr(factor_solver, "build_gadget", refuse)
+    lines = []
+    g = incidence_graph(complete_graph(21))
+    assert find_2k_factor(g, DegreeSpec(1), trace=lines.append) is None
+    assert lines == ["parity: k|Y| = 21 is odd, no factor"]
 
 
 # ------------------------------------------------------------------ lift
@@ -705,9 +749,12 @@ def test_lift_cycle_certificate():
 
 
 def test_lift_rejects_odd_x_degree():
+    # hyperedge 0 with one vertex taken: as a one-vertex pair, or as a
+    # pair that repeats it
     h = Hypergraph(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        lift_to_berge(h, FactorSubgraph.make(1, [(0, 0)]))
+    for pick in ((0,), (0, 0)):
+        with pytest.raises(ValueError, match="malformed certificate"):
+            lift_to_berge(h, BergeFactorCertificate(1, ((0, pick),)))
 
 
 def test_find_berge_k_factor_end_to_end():

@@ -15,11 +15,12 @@ same code.  Claim a change from the count lines, or from alternating
 the `src/` tree next to this script.
 
 `matcher` (any workload; C = 150) follows `find_2k_factor` on each
-instance.  It leaves out hosts that `sparse_y_vertex` answers, runs
-`greedy_selection` on the rest and counts those whose selection is
-already a factor, which are answered without a gadget, and among them
-those that a restart answered, which it tells by wrapping
-`factor_solver._restart_order`.  On each other host it lays out the
+instance.  It leaves out the hosts that `find_2k_factor` answers
+before any selection, those that `sparse_y_vertex` answers and those
+with k|Y| odd, runs `greedy_selection` on the rest and counts those
+whose selection is already a factor, which are answered without a
+gadget, and among them those that a restart answered, which it tells
+by wrapping `factor_solver._restart_order`.  On each other host it lays out the
 split-incidence gadget from the selection and runs the matcher:
 `complete_matching` from the gadget's warm start, on an adjacency that
 the gadget's expander builds only where the forests reach.  It counts
@@ -110,7 +111,8 @@ def matcher(insts) -> Profile:
             host = (incidence_graph(parse_hg(inst.text))
                     if inst.suffix == ".hg" else parse_big(inst.text))
             spec = DegreeSpec(inst.k)
-            if sparse_y_vertex(host, spec) is not None:
+            if (sparse_y_vertex(host, spec) is not None
+                    or inst.k * host.y_count % 2):
                 continue
             runs.clear()
             selection, unmet = greedy_selection(host, spec)
