@@ -13,11 +13,10 @@ import sys
 from pathlib import Path
 
 from .budget import BudgetExceededError
-# find_berge_k_factor is not called here since `factor` builds the
-# incidence graph once for the search and the barrier fallback, but
-# bench/tracing.py wraps it under this module's name.
+# find_berge_k_factor is not called here, as `factor` builds the incidence
+# graph once, but bench/tracing.py wraps it under this module's name.
 from .factor_solver import (find_2k_factor, find_berge_k_factor,  # noqa: F401
-                            lift_to_berge, sparse_reason, sparse_y_vertex)
+                            no_scan_barrier)
 from .formats import (load_barrier, load_bipartite, load_certificate,
                       load_hypergraph, serialize_bar, serialize_big,
                       serialize_bkf)
@@ -98,12 +97,11 @@ def _cmd_barrier(args) -> int:
 
 def _cmd_factor(args) -> int:
     trace = print if args.trace else None
-    h = load_hypergraph(args.file)
     spec = DegreeSpec(args.k)
-    g = incidence_graph(h)
+    g = incidence_graph(load_hypergraph(args.file))
     cert = find_2k_factor(g, spec, trace=trace)
     if cert is not None:
-        text = serialize_bkf(lift_to_berge(h, cert))
+        text = serialize_bkf(cert)
         if args.output:
             Path(args.output).write_text(text)
             print(f"certificate written to {args.output}")
@@ -113,18 +111,9 @@ def _cmd_factor(args) -> int:
     try:
         br = find_biased_barrier(g, spec, args.enum_budget)
     except BudgetExceededError:
-        # Past the scan budget, a Y-vertex y of degree d < k still gives
-        # the barrier (A, B) = ({}, {y}): its delta is at most d - k.
-        # A Y-vertex with d2 < k X-neighbours of degree >= 2 gives it
-        # too, at delta <= d2 - k: each degree-1 X-neighbour is an odd
-        # component that cancels its own edge into B.
-        y = sparse_y_vertex(g, spec)
-        if y is None:
+        br = no_scan_barrier(g, spec)
+        if br is None:
             raise
-        br = delta(g, (), (g.x_count + y,), spec)
-        if br.delta >= 0:
-            raise RuntimeError(f"{sparse_reason(g, spec, y)} gave delta "
-                               f"{br.delta}")
     print(f"no Berge-{args.k}-factor: barrier delta={br.delta}")
     sys.stdout.write(serialize_bar(br))
     return 1

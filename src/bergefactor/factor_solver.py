@@ -28,23 +28,16 @@ of degree 1 is never selected.  `find_2k_factor` checks for such a
 vertex first (`sparse_y_vertex`), then that k|Y| is even, since a
 factor's Y-degrees sum to k|Y| and its X-degrees to twice the selected
 X-vertices; either failing answers None without building the gadget.
-
-The warm start for the matcher is a maximal selection of X-vertices
-that `greedy_selection` makes on the host, most constrained first,
-before any gadget vertex exists; its docstring gives the restart rule.
-When the selection leaves no need it is a factor, and `find_2k_factor`
-returns it without laying out the gadget: the matcher would return that
-start, which has no exposed vertex, as it is.  Otherwise the gadget,
-its start and the matcher's work are those of the degree-ordered pass,
-so the restarts change no yes/no answer.
+One rule states both exits, and `no_scan_barrier` gives the barrier
+each stands for, which `factor` prints past the scan budget.
 
 A (2,k)-factor of the incidence graph of a hypergraph H is a
 Berge-k-factor of H: each selected X-vertex (hyperedge) x places the
 multigraph edge of its two selected Y-neighbours y1 < y2 inside x.  So
 the factor is returned as a `BergeFactorCertificate` with pairs
 (x, (y1, y2)) in X order, on the greedy path and on the gadget path
-alike, and `verify_2k_factor` and `verify_berge_factor` check it by
-one kernel, on the host's X-rows and on H's edges.
+alike.  `find_2k_factor` checks it once, by `verify_2k_factor` on the
+host's X-rows, which are H's edges, and every caller returns it as is.
 
 `build_gadget` computes every vertex id up front, so its one pass over
 the host writes each vertex's owner and incidence partner, and the
@@ -71,7 +64,7 @@ from .incidence import BipartiteGraph, incidence_graph
 # max_matching is not called here since a factor needs a perfect
 # matching, but bench/tracing.py wraps it under this module's name.
 from .matching import GeneralGraph, complete_matching, max_matching  # noqa: F401
-from .parity_criterion import DegreeSpec
+from .parity_criterion import Barrier, DegreeSpec, delta
 
 @dataclass(frozen=True)
 class GadgetGraph:
@@ -138,9 +131,7 @@ def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
     """The Y-local index of a Y-vertex that no factor can meet, or None
     when there is none: the first Y-vertex whose host degree is below
     k, or else the first with fewer than k X-neighbours of degree 2 or
-    more.  An X-vertex of degree 1 is never selected, and for y's d2
-    X-neighbours of degree 2 or more the pair ({}, {y}) has delta at
-    most d2 - k."""
+    more, since an X-vertex of degree 1 is never selected."""
     k = spec.k
     y_nbrs = g.y_neighbors
     for j, xs in enumerate(y_nbrs):
@@ -154,14 +145,38 @@ def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
     return None
 
 
-def sparse_reason(g: BipartiteGraph, spec: DegreeSpec, y: int) -> str:
-    """Why Y-vertex y, which `sparse_y_vertex` found, has no factor."""
-    xs = g.y_neighbors[y]
-    if len(xs) < spec.k:
-        return f"Y-vertex {y} has degree {len(xs)} < k = {spec.k}"
-    d2 = sum(len(g.neighbors[x]) > 1 for x in xs)
-    return (f"Y-vertex {y} has {d2} X-neighbours of degree >= 2 "
-            f"< k = {spec.k}")
+def _no_scan_exit(g: BipartiteGraph, spec: DegreeSpec
+                  ) -> tuple[tuple[int, ...], str] | None:
+    """B and the reason when the host has no factor by a rule that needs
+    no scan, or None: first the Y-vertex y that `sparse_y_vertex` finds,
+    with B = {y}, then an odd k|Y|, with B = {}."""
+    k = spec.k
+    y = sparse_y_vertex(g, spec)
+    if y is not None:
+        xs = g.y_neighbors[y]
+        d2 = sum(len(g.neighbors[x]) > 1 for x in xs)
+        why = (f"degree {len(xs)}" if len(xs) < k
+               else f"{d2} X-neighbours of degree >= 2")
+        return (g.x_count + y,), f"gadget: Y-vertex {y} has {why} < k = {k}"
+    if k * g.y_count % 2:
+        return (), f"parity: k|Y| = {k * g.y_count} is odd"
+    return None
+
+
+def no_scan_barrier(g: BipartiteGraph, spec: DegreeSpec) -> Barrier | None:
+    """The barrier ({}, B) behind `find_2k_factor`'s early exits,
+    evaluated by `delta` with no scan, or None when it takes neither.
+    For a sparse y with d2 X-neighbours of degree 2 or more, ({}, {y})
+    has delta at most d2 - k; ({}, {}) on an odd k|Y| counts only odd
+    components, with the parity of k|Y|.  RuntimeError when the delta
+    is not below 0."""
+    found = _no_scan_exit(g, spec)
+    if found is None:
+        return None
+    br = delta(g, (), found[0], spec)
+    if br.delta >= 0:
+        raise RuntimeError(f"{found[1]} gave delta {br.delta}")
+    return br
 
 
 def _restart_order(front: list[int], order: list[int], in_front: set[int]):
@@ -372,31 +387,26 @@ def find_2k_factor(g: BipartiteGraph, spec: DegreeSpec, *,
                    trace: Callable[[str], None] | None = None
                    ) -> BergeFactorCertificate | None:
     """Search for a (2,k)-factor of the host graph; None when there is
-    none.  A Y-vertex that `sparse_y_vertex` finds, of degree below k or
-    with fewer than k X-neighbours of degree 2 or more, answers None
-    before anything else, and so does an odd k|Y|.  Otherwise
-    `greedy_selection` chooses the warm start on the host, by the rule
-    its docstring gives.  When it meets every need it is the factor,
-    and no gadget is laid out: it is what the gadget's matcher would
-    return from that start, which is already perfect.  Otherwise it is
-    the degree-ordered pass's selection, `build_gadget` encodes it,
-    `complete_matching` extends it to a perfect matching of the gadget
-    from the copies it left unmet, building only the vertices its
-    forests reach, and the factor is read off the mate array by
-    `GadgetGraph.selected`.  A matcher phase that augments nothing ends
-    on a Hungarian forest and shows there is no factor.  The factor is
-    the certificate of the module docstring, checked by
-    `verify_2k_factor` before it is returned.  `trace` receives progress
-    lines, whose counts come from the module docstring's closed forms,
-    so that tracing lays out nothing."""
-    y = sparse_y_vertex(g, spec)
-    if y is not None:
+    none.  The two exits of the module docstring answer None first,
+    with no `delta` evaluated.  Otherwise `greedy_selection` chooses the
+    warm start on the host, most constrained first.  When it meets every
+    need it is the factor, and no gadget is laid out: the matcher would
+    return that start, which is already perfect, as it is.  Otherwise it
+    is the degree-ordered pass's selection, so the restarts change no
+    yes/no answer: `build_gadget` encodes it, `complete_matching`
+    extends it to a perfect matching of the gadget from the copies it
+    left unmet, building only the vertices its forests reach, and
+    `GadgetGraph.selected` reads the factor off the mate array.  A
+    matcher phase that augments nothing ends on a Hungarian forest and
+    shows there is no factor.  The factor, the certificate of the module
+    docstring, is checked by `verify_2k_factor` before it is returned,
+    the one check on the factor route; RuntimeError when it fails.
+    `trace` receives progress lines, whose counts come from the module
+    docstring's closed forms, so that tracing lays out nothing."""
+    found = _no_scan_exit(g, spec)
+    if found is not None:
         if trace:
-            trace(f"gadget: {sparse_reason(g, spec, y)}, no factor")
-        return None
-    if spec.k * g.y_count % 2:
-        if trace:
-            trace(f"parity: k|Y| = {spec.k * g.y_count} is odd, no factor")
+            trace(f"{found[1]}, no factor")
         return None
     selection, unmet = greedy_selection(g, spec)
     if trace:
@@ -442,9 +452,10 @@ def verify_2k_factor(g: BipartiteGraph, cert: BergeFactorCertificate
 
 def lift_to_berge(h: Hypergraph, cert: BergeFactorCertificate
                   ) -> BergeFactorCertificate:
-    """The Berge k-factor certificate of `h` that a (2,k)-factor of its
-    incidence graph is, checked against `h` by `verify_berge_factor`;
-    ValueError when it does not pass."""
+    """A standalone check of a certificate against `h`: it is returned
+    as is when `verify_berge_factor` passes it, and ValueError is raised
+    otherwise.  The factor route does not call it, since
+    `find_2k_factor` has checked the same rows."""
     verdict = verify_berge_factor(h, cert)
     if not verdict:
         raise ValueError(f"lifted certificate is invalid: {verdict.reason}")
@@ -454,7 +465,6 @@ def lift_to_berge(h: Hypergraph, cert: BergeFactorCertificate
 def find_berge_k_factor(h: Hypergraph, k: int, *,
                         trace: Callable[[str], None] | None = None
                         ) -> BergeFactorCertificate | None:
-    """End-to-end pipeline on a hypergraph: incidence graph, gadget
-    matching, lift.  None when no Berge k-factor exists."""
-    cert = find_2k_factor(incidence_graph(h), DegreeSpec(k), trace=trace)
-    return None if cert is None else lift_to_berge(h, cert)
+    """`find_2k_factor` on the incidence graph of `h`, whose checked
+    certificate is the Berge k-factor; None when there is none."""
+    return find_2k_factor(incidence_graph(h), DegreeSpec(k), trace=trace)

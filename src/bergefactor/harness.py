@@ -135,10 +135,10 @@ def verify_theorem(n_range: tuple[int, int], k: int,
                    mode: ExhaustiveMode | RandomMode) -> TheoremReport:
     """Check the factor theorem over a census or a seeded random batch:
     every instance with tau >= k, k*n even and n >= k+1 must admit a
-    Berge-k-factor.  Certificates are re-verified; a missing factor is
-    recorded with its biased barrier.  The exhaustive mode takes n <= 5
-    and the random mode n <= 10; a larger range is a ValueError, as no
-    budget covers it."""
+    Berge-k-factor.  Each certificate is checked once, by
+    `find_2k_factor`; a missing factor is recorded with its biased
+    barrier.  The exhaustive mode takes n <= 5 and the random mode
+    n <= 10; a larger range is a ValueError, as no budget covers it."""
     n_lo, n_hi = n_range
     if n_lo < 1 or n_lo > n_hi:
         raise ValueError(f"bad n range [{n_lo}, {n_hi}]")

@@ -169,19 +169,26 @@ def test_factor_none_prints_barrier(capsys, star_hg):
     assert lines[1] == "-2 1 0"
 
 
-def test_factor_past_budget_prints_sparse_vertex_barrier(capsys, tmp_path):
-    # 61 host vertices, far over the scan budget; leaf 1 has degree 1 < 2.
+@pytest.mark.parametrize("k, d, head", [
+    # leaf 1 has degree 1 < 2, so B = {31}
+    pytest.param(2, -2, "-2 0 1\n\n31\n", id="sparse"),
+    # every leaf has degree 1 = k, but k|Y| = 31 is odd, so B = {}
+    pytest.param(1, -1, "-1 0 0\n\n\nodd 61 ", id="parity"),
+])
+def test_factor_past_budget_prints_sparse_vertex_barrier(capsys, tmp_path,
+                                                         k, d, head):
+    # 61 host vertices, far over the scan budget
     hg = tmp_path / "star30.hg"
     hg.write_text(serialize_hg(star(30)))
-    code, out, err = run(capsys, "factor", str(hg), "-k", "2")
+    code, out, err = run(capsys, "factor", str(hg), "-k", str(k))
     assert (code, err) == (1, "")
     first, bar = out.split("\n", 1)
-    assert first == "no Berge-2-factor: barrier delta=-2"
-    assert bar.startswith("-2 0 1\n\n31\n")
+    assert first == f"no Berge-{k}-factor: barrier delta={d}"
+    assert bar.startswith(head)
     f = tmp_path / "star30.bar"
     f.write_text(bar)
-    code, out, _ = run(capsys, "verify", str(hg), str(f), "-k", "2")
-    assert (code, out) == (0, "accept: barrier delta=-2\n")
+    code, out, _ = run(capsys, "verify", str(hg), str(f), "-k", str(k))
+    assert (code, out) == (0, f"accept: barrier delta={d}\n")
 
 
 def test_factor_past_budget_prints_singleton_sparse_barrier(capsys,

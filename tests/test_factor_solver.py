@@ -21,15 +21,19 @@ from bergefactor import (
     enumerate_graph_edge_sets,
     find_2k_factor,
     find_berge_k_factor,
+    find_biased_barrier,
     greedy_selection,
     incidence_graph,
     lift_to_berge,
     max_matching,
+    no_scan_barrier,
+    serialize_hg,
     sparse_y_vertex,
     verify_2k_factor,
     verify_berge_factor,
 )
-from bergefactor import factor_solver
+from bergefactor import factor_solver, hypergraph
+from bergefactor.cli import cli
 from bergefactor.families import complete_graph, cycle, path, star
 
 import oracles
@@ -736,6 +740,26 @@ def test_odd_k_times_y_answers_before_any_selection(monkeypatch):
     assert lines == ["parity: k|Y| = 21 is odd, no factor"]
 
 
+def test_no_scan_barrier_agrees_with_the_scan():
+    # the early exits' rule answers exactly the sparse and odd-k|Y|
+    # hosts, each with a barrier no deeper than the biased one
+    answered = set()
+    for g in enumerate_bipartite_graphs(6):
+        for k in (1, 2, 3):
+            spec = DegreeSpec(k)
+            y = sparse_y_vertex(g, spec)
+            br = no_scan_barrier(g, spec)
+            assert (br is not None) == (y is not None
+                                        or k * g.y_count % 2 == 1), (g, k)
+            if br is None:
+                continue
+            assert br.a == () and br.b == (
+                () if y is None else (g.x_count + y,)), (g, k)
+            assert find_biased_barrier(g, spec).delta <= br.delta < 0, (g, k)
+            answered.add(y is None)
+    assert answered == {False, True}
+
+
 # ------------------------------------------------------------------ lift
 
 
@@ -755,6 +779,27 @@ def test_lift_rejects_odd_x_degree():
     for pick in ((0,), (0, 0)):
         with pytest.raises(ValueError, match="malformed certificate"):
             lift_to_berge(h, BergeFactorCertificate(1, ((0, pick),)))
+
+
+def test_each_certificate_is_checked_once(monkeypatch, tmp_path, capsys):
+    # `find_2k_factor`'s check is the only one on the factor route, with
+    # the selection a factor (cycle) and with a gadget laid out (K_5)
+    calls = []
+    for mod in (hypergraph, factor_solver):
+        def counted(*args, real=mod._check_factor):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(mod, "_check_factor", counted)
+    for h in (cycle(5), complete_graph(5)):
+        hg = tmp_path / "h.hg"
+        hg.write_text(serialize_hg(h))
+        calls.clear()
+        assert cli(["factor", str(hg), "-k", "2"]) == 0
+        assert capsys.readouterr().out.startswith("2 5\n")
+        assert len(calls) == 1
+        calls.clear()
+        assert find_berge_k_factor(h, 2) is not None
+        assert len(calls) == 1
 
 
 def test_find_berge_k_factor_end_to_end():

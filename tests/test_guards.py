@@ -12,8 +12,14 @@ import bergefactor
 SRC = Path(bergefactor.__file__).resolve().parent
 
 _REJECTING_VERIFIER = """
+import contextlib
+import io
+import os
+import tempfile
+
 import bergefactor.factor_solver as fs
-from bergefactor import DegreeSpec, incidence_graph
+from bergefactor import DegreeSpec, incidence_graph, serialize_hg
+from bergefactor.cli import cli
 from bergefactor.families import complete_graph, cycle
 from bergefactor.hypergraph import Verdict
 
@@ -37,6 +43,19 @@ for h, k in ((cycle(4), 2), (complete_graph(5), 2)):
         print(f"{len(laid)} gadgets, raised:", e)
     else:
         print("returned an unchecked factor")
+# the same check guards the command line: no certificate bytes
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "c4.hg")
+    with open(path, "w") as f:
+        f.write(serialize_hg(cycle(4)))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli(["factor", path, "-k", "2"])
+    except RuntimeError as e:
+        print(f"cli wrote {out.getvalue()!r}, raised:", e)
+    else:
+        print("cli wrote an unchecked factor")
 """
 
 
@@ -51,11 +70,11 @@ def _run_under_O(code):
 
 def test_solver_rejects_unverified_factor_under_O():
     # on a host whose selection is a factor, so that no gadget is laid
-    # out, and on one whose selection leaves need
+    # out, and on one whose selection leaves need; then through `factor`
     lines = _run_under_O(_REJECTING_VERIFIER).splitlines()
-    assert lines == [
-        f"{n} gadgets, raised: gadget extraction produced a bad factor: "
-        "rejected on purpose" for n in (0, 1)], lines
+    bad = "gadget extraction produced a bad factor: rejected on purpose"
+    assert lines == [f"{n} gadgets, raised: {bad}" for n in (0, 1)] + [
+        f"cli wrote '', raised: {bad}"], lines
 
 
 _BAD_START = """
