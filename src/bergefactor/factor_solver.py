@@ -197,14 +197,15 @@ def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
     Y-neighbours that x takes, or () when x takes none.  Each Y-vertex y
     needs k incidences and has left[y] unselected X-neighbours, deg(y)
     at first.  The Y-vertices are visited by ascending degree, ties by
-    id; one with need left scans its unselected X-neighbours with the
-    fewest Y-neighbours first, ties by id, and selects each x on y and
-    the partner z in N(x) - y with need left and the least slack
-    left[z] - need[z], the first in N(x) on a tie, until its need is
-    met; an x with no partner is passed over.  Every Y-vertex with need
-    left has scanned all its X-neighbours, so no unselected X-vertex has
-    two Y-neighbours with need left: the selection is maximal.  When
-    the unmet need is 0 it is a (2,k)-factor.
+    id; one with need left scans its unselected X-neighbours in the
+    order of `g.y_neighbors`, read as it is (fewest Y-neighbours first,
+    ties by id), and selects each x on y and the partner z in N(x) - y
+    with need left and the least slack left[z] - need[z], the first in
+    N(x) on a tie, until its need is met; an x with no partner is passed
+    over.  Every Y-vertex with need left has scanned all its
+    X-neighbours, so no unselected X-vertex has two Y-neighbours with
+    need left: the selection is maximal.  When the unmet need is 0 it is
+    a (2,k)-factor.
 
     When this first pass leaves need, the selection is rebuilt from
     scratch by restarts, after squeaky-wheel optimisation (Joslin and
@@ -221,14 +222,6 @@ def greedy_selection(g: BipartiteGraph, spec: DegreeSpec
     nbrs = g.neighbors
     y_nbrs = g.y_neighbors
     degree = list(map(len, y_nbrs))
-    if len(set(map(len, nbrs))) > 1:
-        # Each Y-vertex's X-neighbours, fewest Y-neighbours first; with
-        # one X-degree this is X order, the order of `y_neighbors`.
-        rows: list[list[int]] = [[] for _ in y_nbrs]
-        for x in sorted(range(g.x_count), key=lambda x: len(nbrs[x])):
-            for y in nbrs[x]:
-                rows[y].append(x)
-        y_nbrs = rows
 
     def visit(y: int) -> int:
         # Select X-vertices on y until its need is met; return the need

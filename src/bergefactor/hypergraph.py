@@ -398,7 +398,7 @@ def _check_factor(n: int, rows: Sequence[Sequence[int]],
     m = len(rows)
     for e, uv in cert.pairs:
         if (len(uv) != 2 or not 0 <= e < m or uv[0] == uv[1]
-                or not all(0 <= u < n for u in uv)):
+                or not 0 <= uv[0] < n or not 0 <= uv[1] < n):
             return Verdict(False, f"malformed certificate: pair ({e}, {uv})")
     seen: set[int] = set()
     for e, _pair in cert.pairs:

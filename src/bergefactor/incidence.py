@@ -56,11 +56,16 @@ class BipartiteGraph:
 
     @cached_property
     def y_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each Y-vertex's X-neighbours, fewest Y-neighbours first, ties
+        by X id (X order when X has one degree): the order in which
+        `greedy_selection` scans them."""
+        nbrs = self.neighbors
+        degree = list(map(len, nbrs))
         rev: list[list[int]] = [[] for _ in range(self.y_count)]
-        for x, nbrs in enumerate(self.neighbors):
-            for y in nbrs:
+        for x in sorted(range(self.x_count), key=degree.__getitem__):
+            for y in nbrs[x]:
                 rev[y].append(x)
-        return tuple(tuple(r) for r in rev)
+        return tuple(map(tuple, rev))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BipartiteGraph)

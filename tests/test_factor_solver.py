@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 from itertools import chain, combinations, permutations
 
 import pytest
@@ -707,6 +708,37 @@ def test_verify_2k_factor_x_degree_rule():
         assert not v and v.reason == f"malformed certificate: pair (0, {pick})"
 
 
+# Each case holds faults of every kind listed after its reason, and the
+# pairs that hold them come in an order other than the kinds'.
+FIRST_FAULTS = [
+    # malformed, injection, containment, degree
+    (((0, (0, 3)), (1, (0, 3)), (1, (0, 3)), (2, (1, 5))),
+     "malformed certificate: pair (2, (1, 5))"),
+    # injection, containment, degree
+    (((0, (0, 3)), (1, (0, 3)), (1, (0, 3))),
+     "injection violated: hyperedge 1 used twice"),
+    # containment, degree
+    (((2, (1, 3)), (0, (0, 3))),
+     "containment violated: (0, 3) not inside hyperedge 0"),
+    (((1, (0, 3)),), "degree violated: vertex 1 has degree 0, want 1"),
+] + [
+    # a vertex id out of range on either side of a pair, after a
+    # containment fault
+    (((0, (0, 3)), (2, uv)), f"malformed certificate: pair (2, {uv})")
+    for uv in ((-1, 2), (2, -1), (4, 2), (2, 4))
+]
+
+
+@pytest.mark.parametrize("pairs, reason", FIRST_FAULTS)
+def test_certificate_check_names_the_first_fault_kind(pairs, reason):
+    # malformed before injection before containment before degree, with
+    # the same reason from both verifiers of the one kernel
+    h = Hypergraph(4, [(0, 1, 2), (0, 3), (1, 2, 3)])
+    cert = BergeFactorCertificate(1, pairs)
+    assert verify_berge_factor(h, cert).reason == reason
+    assert verify_2k_factor(incidence_graph(h), cert).reason == reason
+
+
 def test_factor_is_the_berge_certificate():
     # the (2,k)-factor of the incidence graph is the Berge certificate
     # itself, canonical as `BergeFactorCertificate.make` would give it
@@ -800,6 +832,35 @@ def test_each_certificate_is_checked_once(monkeypatch, tmp_path, capsys):
         calls.clear()
         assert find_berge_k_factor(h, 2) is not None
         assert len(calls) == 1
+
+
+def test_one_y_side_inversion_per_factor_search(monkeypatch):
+    # `y_neighbors` is the host's one Y-side inversion, already in the
+    # greedy's scan order: on hosts with two X-degrees each X-row is
+    # read once outside the greedy's scans (`visit`), where a second
+    # inversion would read it twice.  The selection is a factor on both
+    # hosts, by the first pass and by a restart, so no gadget reads them
+    reads = []
+
+    class Row(tuple):
+        def __iter__(self):
+            if sys._getframe(1).f_code.co_name != "visit":
+                reads.append(self)
+            return super().__iter__()
+
+    def refuse(*args):
+        raise AssertionError("laid out a gadget")
+
+    monkeypatch.setattr(factor_solver, "build_gadget", refuse)
+    for h, k in ((Hypergraph(4, [(0, 1, 2), (0, 3), (1, 2, 3)]), 1),
+                 (Hypergraph(6, [(2, 3), (1, 2, 3), (4, 5), (0, 4, 5),
+                                 (1, 2, 5), (0, 1, 3)]), 1)):
+        rows = tuple(map(Row, h.edges))
+        g = BipartiteGraph._canonical(len(rows), h.n, rows)
+        assert len(set(map(len, rows))) == 2
+        reads.clear()
+        assert find_2k_factor(g, DegreeSpec(k)) == find_berge_k_factor(h, k)
+        assert sorted(map(id, reads)) == sorted(map(id, rows)), (h, reads)
 
 
 def test_find_berge_k_factor_end_to_end():

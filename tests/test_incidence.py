@@ -25,6 +25,28 @@ def test_bipartite_graph_canonicalizes_rows():
     assert g.y_neighbors == ((0,), (1,), (0,))
 
 
+def test_y_neighbors_list_fewest_y_neighbours_first():
+    # the order in which the greedy warm start scans: x1 has two
+    # Y-neighbours and x0 three, so y0 lists x1 first; x0 and x2 tie
+    # and keep X order
+    g = incidence_graph(Hypergraph(4, [(0, 1, 2), (0, 3), (1, 2, 3)]))
+    assert g.y_neighbors == ((1, 0), (0, 2), (0, 2), (1, 2))
+    # one X-degree: X order
+    g = incidence_graph(cycle(4))
+    assert g.neighbors == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert g.y_neighbors == ((0, 1), (0, 2), (2, 3), (1, 3))
+    rng = random.Random(29)
+    for _ in range(40):
+        ny = rng.randint(1, 6)
+        rows = [rng.sample(range(ny), rng.randint(0, ny))
+                for _ in range(rng.randint(0, 6))]
+        g = BipartiteGraph(len(rows), ny, rows)
+        assert g.y_neighbors == tuple(
+            tuple(sorted((x for x, ys in enumerate(g.neighbors) if y in ys),
+                         key=lambda x: (len(g.neighbors[x]), x)))
+            for y in range(ny)), g
+
+
 def test_bipartite_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, [(0, 0)])

@@ -64,9 +64,10 @@ def test_profile_tool_kernels_are_all_tested():
 def test_matcher_profile_counts_the_hosts_answered_without_a_gadget():
     # on the first 150 `factor-large` hosts of seed 1 the greedy
     # selection is a factor on all: the degree-ordered pass on 74, and a
-    # restart on the other 76, so no gadget is laid out
+    # restart on the other 76, so no gadget is laid out; with the
+    # restarts the greedy visits 114.1 Y-vertices per host
     out = _profile("matcher", "--workload", "factor-large", "--seed", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[:3] == ["gadgets=0", "complete_starts=150",
-                         "restarted=76"], lines
+    assert lines[:4] == ["gadgets=0", "complete_starts=150",
+                         "restarted=76", "y_visits=114.1"], lines

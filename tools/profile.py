@@ -20,8 +20,10 @@ before any selection, those that `sparse_y_vertex` answers and those
 with k|Y| odd, runs `greedy_selection` on the rest and counts those
 whose selection is already a factor, which are answered without a
 gadget, and among them those that a restart answered, which it tells
-by wrapping `factor_solver._restart_order`.  On each other host it lays out the
-split-incidence gadget from the selection and runs the matcher:
+by wrapping `factor_solver._restart_order`.  The wrapper also counts
+the Y-vertices that each restart visits, after the first pass's |Y|.
+On each other host it lays out the split-incidence gadget from the
+selection and runs the matcher:
 `complete_matching` from the gadget's warm start, on an adjacency that
 the gadget's expander builds only where the forests reach.  It counts
 the calls of the search kernel `matching._augment_from` and the
@@ -31,6 +33,8 @@ vertices expanded, and prints:
     complete_starts  hosts answered by the selection, with no gadget
     restarted        of those, hosts whose degree-ordered pass left
                      need and a restart met it
+    y_visits         Y-vertices that greedy_selection visits per host,
+                     mean, restarts included
     gadget_vertices  vertices per gadget, mean
     gadget_edges     edges per gadget, mean
     perfect          gadgets with a perfect matching
@@ -97,13 +101,15 @@ Profile = tuple[int, dict, Callable[[], None]]
 
 def matcher(insts) -> Profile:
     built = []
-    complete = restarted = 0
+    complete = restarted = visits = 0
     order = factor_solver._restart_order
     runs = []
 
     def counted_order(*args):
-        runs.append(1)
-        return order(*args)
+        runs.append(0)
+        for y in order(*args):
+            runs[-1] += 1
+            yield y
 
     factor_solver._restart_order = counted_order
     try:
@@ -116,6 +122,7 @@ def matcher(insts) -> Profile:
                 continue
             runs.clear()
             selection, unmet = greedy_selection(host, spec)
+            visits += host.y_count + sum(runs)
             if unmet:
                 built.append(build_gadget(host, spec, selection))
             else:
@@ -155,6 +162,7 @@ def matcher(insts) -> Profile:
     counts = {
         "complete_starts": complete,
         "restarted": restarted,
+        "y_visits": f"{visits / max(1, complete + len(built)):.1f}",
         "gadget_vertices": f"{sum(gd.n for gd in built) / per:.1f}",
         "gadget_edges": f"{sum(len(gd.graph.edges) for gd in built) / per:.1f}",
         "perfect": perfect, **calls, "expanded": f"{expanded / per:.3f}"}
