@@ -20,11 +20,13 @@ def main():
     g = incidence_graph(families.cycle(5))
     res = decide_by_criterion(g, DegreeSpec(2))
     print(f"C5 incidence graph, k=2: exists={res.exists} "
-          f"({res.stats.evaluated} pairs evaluated)")
+          f"({res.stats.walked} of {res.stats.evaluated} pairs walked)")
 
     # The star K_{1,3} has no Berge-1-factor: pairing the center into
-    # one edge leaves two leaves stranded.  The criterion's scan visits
-    # every pair and returns the first barrier in base-3 order.
+    # one edge leaves two leaves stranded.  The criterion's scan covers
+    # the family of pairs with B inside Y, scores one by one only the
+    # pairs its bounds cannot rule out, and returns the first barrier
+    # in base-3 order.
     g = incidence_graph(families.star(3))
     spec = DegreeSpec(1)
     res = decide_by_criterion(g, spec)
@@ -45,7 +47,8 @@ def main():
     # pair (min delta, then fewest B, then most A).
     scan = deficiency_scan(g, spec)
     print(f"  scan minimum: {scan.biased.delta} at A={scan.biased.a} "
-          f"B={scan.biased.b} over {scan.stats.evaluated} pairs, "
+          f"B={scan.biased.b}, {scan.stats.walked} of "
+          f"{scan.stats.evaluated} pairs walked, "
           f"odd deltas: {scan.stats.odd_deltas}")
 
     # Biased barriers are structurally constrained; all four clauses

@@ -73,16 +73,17 @@ class Barrier:
 
 @dataclass(frozen=True)
 class ScanStats:
-    """Bookkeeping from an enumeration: pairs evaluated, and how many of
-    the evaluated deltas were odd (must be zero whenever k|Y| is even).
-    Both count every pair the scan covers, 2^|X| * 3^|Y| with B inside
-    Y.  `walked` counts the pairs the scan's Gray-code walk scored, and
-    `u_sets` the untouched sets U whose state the scan used, not those
-    of the subtrees it dropped.  Both depend on what the caller asked
-    for: a scan without the biased pair skips and drops more.  Skipped
-    pairs count in `odd_deltas` by the parity lemma (every delta has the
-    parity of k|Y|), so the lemma is checked on walked pairs only, and
-    independently by `test_scan_even_parity_exhaustive`."""
+    """Bookkeeping from a scan: `evaluated` is the size of the pair
+    family it covers, 2^|X| * 3^|Y| with B inside Y, and `odd_deltas`
+    how many of those pairs have an odd delta (must be zero whenever
+    k|Y| is even).  `walked` counts the pairs the scan's Gray-code walk
+    scored, and `u_sets` the untouched sets U whose state the scan used,
+    not those of the subtrees it dropped.  Both depend on what the
+    caller asked for: a scan without the biased pair skips and drops
+    more.  The pairs not walked count in `odd_deltas` by the parity
+    lemma (every delta has the parity of k|Y|), so the lemma is checked
+    on walked pairs only, and independently by
+    `test_scan_even_parity_exhaustive`."""
 
     evaluated: int
     odd_deltas: int
@@ -242,12 +243,11 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     or, if the best delta or the first barrier's code has fallen since
     it was pushed, it is dropped when popped.
 
-    The pairs of a U that is not walked still count: all 2^|C & Y| in
-    `evaluated`, and in `odd_deltas` by the parity lemma (every delta
-    has the parity of k|Y|).  A dropped subtree's 2^|C & Y at or above
-    t| * 2^|X below t| * 3^|Y below t| pairs count the same way.  The
-    lemma is checked on the walked pairs, whose deltas are counted one
-    by one, and independently by an exhaustive test.
+    `ScanStats.evaluated` is the family's size, 2^|X| * 3^|Y|.  The
+    pairs not walked count in `odd_deltas` by the parity lemma (every
+    delta has the parity of k|Y|); the lemma is checked on the walked
+    pairs, whose deltas are counted one by one, and independently by an
+    exhaustive test.
     `ScanStats.u_sets` counts the U-sets not dropped.  Hosts above the
     vertex budget b, or with more than 2^ceil(b/2) * 3^floor(b/2)
     pairs, are refused before any scan state is built.
@@ -265,7 +265,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     all_mask = (1 << n_total) - 1
     x_all = (1 << nx) - 1
     y_all = ((1 << ny) - 1) << nx
-    evaluated = 0
     odd_deltas = 0
     walked = 0
     u_sets = 0
@@ -281,10 +280,8 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
     pow3 = [3 ** v for v in range(n_total + 1)]
     # The descendants of a U whose lowest vertex is t (n for U empty)
     # move vertices below t from C to U: half[t] = (3^t - 1)/2 is the
-    # most that lowers a code, and sub[t] = 2^|X below t| * 3^|Y below t|
-    # times 2^|C & Y at or above t| counts the subtree's pairs.
+    # most that lowers a code.
     half = [(p - 1) // 2 for p in pow3]
-    sub = [2 ** min(t, nx) * 3 ** max(t - nx, 0) for t in range(n_total + 1)]
     # dip[t] = 3|X below t| is the most those moves lower a delta bound.
     dip = [3 * min(t, nx) for t in range(n_total + 1)]
     first_code = pow3[n_total]  # above every assignment code
@@ -321,11 +318,9 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
         lb = const - reach + neg
         sb = lb - dip[low]
         if sb > best_d and (sb > top or c_code - half[low] > first_code):
-            evaluated += sub[low] << (cy >> low).bit_count()
             continue
         u_sets += 1
         tcount = cy.bit_count()
-        evaluated += 1 << tcount
         # Walk the U unless no pair of it can beat or tie the best pair,
         # or be an earlier barrier.
         if lb <= best_d or (lb <= top and c_code <= first_code):
@@ -400,7 +395,6 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             # reachable: when this one drops the child, no merge is made.
             sb = nconst + neg - reach - 1 - dip[v]
             if sb > best_d and (sb > top or ncode - half[v] > first_code):
-                evaluated += sub[v] << ((cy & ~vb) >> v).bit_count()
                 continue
             av = adjg[v]
             if v >= nx:
@@ -443,11 +437,11 @@ def deficiency_scan(g: BipartiteGraph, spec: DegreeSpec,
             if sb > best_d and (sb > top or ncode - half[v] > first_code):
                 # No pair of the child's subtree can beat or tie the
                 # best pair, or be an earlier barrier: it is not pushed.
-                evaluated += sub[v] << ((cy & ~vb) >> v).bit_count()
                 continue
             ncomps.append((merged, row))
             stack.append((u_mask | vb, v, ncomps, nreach, nneg, ncode,
                           nconst))
+    evaluated = 2 ** nx * 3 ** ny  # the pair family, B inside Y
     if k * ny & 1:  # the skipped pairs, by the parity lemma
         odd_deltas += evaluated - walked
 
@@ -476,8 +470,8 @@ def decide_by_criterion(g: BipartiteGraph, spec: DegreeSpec,
     biased pair, and so drops every U-subtree that can hold no earlier
     barrier, including every one whose delta bound is above the largest
     delta of a barrier: -1, or -2 when k|Y| is even.  `stats`
-    are that scan's: `evaluated` and `odd_deltas` equal a full scan's,
-    `walked` and `u_sets` are at most its."""
+    are that scan's: `walked` and `u_sets` are at most a biased scan's,
+    the other two the same."""
     scan = deficiency_scan(g, spec, budget, biased=False)
     return CriterionResult(scan.first is None, scan.first, scan.stats)
 

@@ -334,8 +334,9 @@ def gadget_deficiency(g, k):
     by an edge; per X-vertex a joined pair, both members adjacent to
     every e_x of x; per Y-vertex k copies, each adjacent to every e_y of
     y.  Built here even where a Y-vertex has degree < k, and matched
-    with the package's blossom matcher."""
-    from bergefactor.matching import GeneralGraph, max_matching
+    by `max_matching_reference`, so the package's blossom matcher is not
+    part of the oracle."""
+    from bergefactor.matching import GeneralGraph
 
     n = 0
     edges = []
@@ -353,7 +354,7 @@ def gadget_deficiency(g, k):
         if v < g.x_count:
             edges.append(tuple(hubs))
         edges += [(e, h) for e in ends for h in hubs]
-    return n - 2 * len(max_matching(GeneralGraph(n, edges)))
+    return n - 2 * len(max_matching_reference(GeneralGraph(n, edges)))
 
 
 def _augment_from_reference(root, adj, match, n):

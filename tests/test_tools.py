@@ -71,3 +71,18 @@ def test_matcher_profile_counts_the_hosts_answered_without_a_gadget():
     lines = out.stdout.splitlines()
     assert lines[:4] == ["gadgets=0", "complete_starts=150",
                          "restarted=76", "y_visits=114.1"], lines
+
+
+def test_scan_profile_counts_on_the_first_criterion_hosts():
+    # the first 40 `criterion` hosts of seed 1 hold 388800 pairs in
+    # all; the first-barrier scans score 0.7% of them and the biased
+    # scans 15%, so a change in the scan's pruning or in its accounting
+    # moves these lines
+    out = _profile("scan", "--workload", "criterion", "--seed", "1",
+                   "--count", "40")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[1:7] == ["decide_u_sets=6914", "decide_walked=2659",
+                          "decide_evaluated=388800", "biased_u_sets=20963",
+                          "biased_walked=57051",
+                          "biased_evaluated=388800"], lines

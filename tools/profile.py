@@ -64,10 +64,11 @@ and prints:
     hosts             hosts scanned
     decide_u_sets     U-sets whose state the first-barrier scans used
     decide_walked     pairs the first-barrier scans scored one by one
-    decide_evaluated  pairs the first-barrier scans covered
+    decide_evaluated  pair-family size 2^|X|*3^|Y| of the hosts, summed,
+                      from the first-barrier scans' stats
     biased_u_sets     U-sets whose state the biased scans used
     biased_walked     pairs the biased scans scored one by one
-    biased_evaluated  pairs the biased scans covered
+    biased_evaluated  the same sum, from the biased scans' stats
     scan_ms           time per host of both scans
 """
 
