@@ -1,9 +1,12 @@
 """From hypergraph to Berge-k-factor, constructively.
 
-The pipeline: take the incidence bipartite graph, expand it into a
-split-incidence gadget whose perfect matchings encode (2,k)-factors,
-run maximum matching, then lift the selected incidences back to (hyperedge, pair)
-assignments.  The result is an independently re-checkable certificate.
+The pipeline: take the incidence bipartite graph, choose a greedy
+selection on it, and where that leaves need, expand it into a
+split-incidence gadget whose perfect matchings encode (2,k)-factors and
+complete the matching.  The (hyperedge, pair) assignments are read off
+the selection or the mate array and checked once, by
+`verify_2k_factor`.  The result is an independently re-checkable
+certificate.
 
 Run with:  python3 demos/factor_pipeline.py
 """

@@ -13,8 +13,7 @@ starts at any root.  The two routes are independent and cross-checked.
 from .budget import BudgetExceededError
 from .factor_solver import (GadgetGraph, build_gadget, find_2k_factor,
                             find_berge_k_factor, greedy_selection,
-                            lift_to_berge, no_scan_barrier, sparse_y_vertex,
-                            verify_2k_factor)
+                            lift_to_berge, no_scan_barrier, verify_2k_factor)
 from .formats import (FormatError, load_barrier, load_bipartite,
                       load_certificate, load_hypergraph, parse_bar,
                       parse_big, parse_bkf, parse_hg, serialize_bar,
@@ -28,9 +27,8 @@ from .harness import (ExhaustiveMode, RandomMode, TheoremReport,
 from .hypergraph import (BergeFactorCertificate, Hypergraph, StrongDeletion,
                          ToughnessValue, Verdict, components, is_complete,
                          strong_delete, toughness, verify_berge_factor)
-from .incidence import (BipartiteGraph, hypergraph_of, incidence_graph,
-                        y_toughness)
-from .matching import (GeneralGraph, Matching, complete_matching, is_perfect,
+from .incidence import BipartiteGraph, hypergraph_of, incidence_graph
+from .matching import (GeneralGraph, complete_matching, is_perfect,
                        max_matching)
 from .parity_criterion import (Barrier, ClauseCheck, Component,
                                CriterionResult, DegreeSpec, FactorExistsError,
@@ -44,7 +42,7 @@ __all__ = [
     "BudgetExceededError",
     "GadgetGraph", "build_gadget", "find_2k_factor", "find_berge_k_factor",
     "greedy_selection", "lift_to_berge", "no_scan_barrier",
-    "sparse_y_vertex", "verify_2k_factor",
+    "verify_2k_factor",
     "FormatError", "load_barrier", "load_bipartite", "load_certificate",
     "load_hypergraph", "parse_bar", "parse_big", "parse_bkf", "parse_hg",
     "serialize_bar", "serialize_big", "serialize_bkf", "serialize_hg",
@@ -56,9 +54,8 @@ __all__ = [
     "BergeFactorCertificate", "Hypergraph", "StrongDeletion",
     "ToughnessValue", "Verdict", "components", "is_complete",
     "strong_delete", "toughness", "verify_berge_factor",
-    "BipartiteGraph", "hypergraph_of", "incidence_graph", "y_toughness",
-    "GeneralGraph", "Matching", "complete_matching", "is_perfect",
-    "max_matching",
+    "BipartiteGraph", "hypergraph_of", "incidence_graph",
+    "GeneralGraph", "complete_matching", "is_perfect", "max_matching",
     "Barrier", "ClauseCheck", "Component", "CriterionResult", "DegreeSpec",
     "FactorExistsError", "ScanResult", "ScanStats", "StructureReport",
     "check_barrier_structure", "decide_by_criterion", "deficiency_scan",

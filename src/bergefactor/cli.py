@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
         if rec.delta != br.delta:
             print(f"reject: recomputed delta {rec.delta} != stated {br.delta}")
             return 1
-        if set(rec.components) != set(br.components):
+        if rec.components != br.components:
             print("reject: component classification mismatch")
             return 1
         if br.delta >= 0:

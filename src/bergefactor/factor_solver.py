@@ -25,9 +25,9 @@ for |E| incidences, for every host: a Y-vertex of host degree < k leaves
 copies exposed, so its gadget has no perfect matching, and so does one
 with fewer than k X-neighbours of degree 2 or more, since an X-vertex
 of degree 1 is never selected.  `find_2k_factor` checks for such a
-vertex first (`sparse_y_vertex`), then that k|Y| is even, since a
-factor's Y-degrees sum to k|Y| and its X-degrees to twice the selected
-X-vertices; either failing answers None without building the gadget.
+vertex first, then that k|Y| is even, since a factor's Y-degrees sum
+to k|Y| and its X-degrees to twice the selected X-vertices; either
+failing answers None without building the gadget.
 One rule states both exits, and `no_scan_barrier` gives the barrier
 each stands for, which `factor` prints past the scan budget.
 
@@ -127,36 +127,28 @@ class GadgetGraph:
             tuple(map(self.expand, range(self.n))))
 
 
-def sparse_y_vertex(g: BipartiteGraph, spec: DegreeSpec) -> int | None:
-    """The Y-local index of a Y-vertex that no factor can meet, or None
-    when there is none: the first Y-vertex whose host degree is below
-    k, or else the first with fewer than k X-neighbours of degree 2 or
-    more, since an X-vertex of degree 1 is never selected."""
-    k = spec.k
-    y_nbrs = g.y_neighbors
-    for j, xs in enumerate(y_nbrs):
-        if len(xs) < k:
-            return j
-    if 1 in map(len, g.neighbors):
-        single = [len(ys) == 1 for ys in g.neighbors]
-        for j, xs in enumerate(y_nbrs):
-            if len(xs) - sum(single[x] for x in xs) < k:
-                return j
-    return None
-
-
 def _no_scan_exit(g: BipartiteGraph, spec: DegreeSpec
                   ) -> tuple[tuple[int, ...], str] | None:
     """B and the reason when the host has no factor by a rule that needs
-    no scan, or None: first the Y-vertex y that `sparse_y_vertex` finds,
-    with B = {y}, then an odd k|Y|, with B = {}."""
+    no scan, or None.  First a Y-vertex y that no factor can meet, with
+    B = {y}: the first whose host degree is below k, or else the first
+    with fewer than k X-neighbours of degree 2 or more, since an
+    X-vertex of degree 1 is never selected.  Then an odd k|Y|, with
+    B = {}."""
     k = spec.k
-    y = sparse_y_vertex(g, spec)
-    if y is not None:
-        xs = g.y_neighbors[y]
-        d2 = sum(len(g.neighbors[x]) > 1 for x in xs)
-        why = (f"degree {len(xs)}" if len(xs) < k
-               else f"{d2} X-neighbours of degree >= 2")
+    degree = list(map(len, g.neighbors))
+    single = 1 in degree
+    found = None
+    for y, xs in enumerate(g.y_neighbors):
+        if len(xs) < k:
+            found = y, f"degree {len(xs)}"
+            break
+        if single and found is None:
+            d2 = sum(degree[x] > 1 for x in xs)
+            if d2 < k:
+                found = y, f"{d2} X-neighbours of degree >= 2"
+    if found is not None:
+        y, why = found
         return (g.x_count + y,), f"gadget: Y-vertex {y} has {why} < k = {k}"
     if k * g.y_count % 2:
         return (), f"parity: k|Y| = {k * g.y_count} is odd"

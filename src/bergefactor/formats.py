@@ -44,8 +44,12 @@ def _meaningful(text: str) -> list[str]:
 
 
 def _positional(text: str) -> list[str]:
-    """All lines except comments; blanks are kept (they carry meaning)."""
-    return [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
+    """All lines except comments, from the first non-blank one on; later
+    blanks are kept (they carry meaning)."""
+    lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
+    while lines and not lines[0].strip():
+        lines.pop(0)
+    return lines
 
 
 def _ascending(vals: tuple[int, ...], what: str) -> None:
@@ -102,8 +106,6 @@ def serialize_hg(h: Hypergraph) -> str:
 
 def parse_big(text: str) -> BipartiteGraph:
     lines = _positional(text)
-    while lines and not lines[0].strip():
-        lines.pop(0)
     if not lines:
         raise FormatError("empty bipartite graph file")
     head = _ints(lines[0], "header")
@@ -156,8 +158,6 @@ def serialize_bkf(c: BergeFactorCertificate) -> str:
 
 def parse_bar(text: str) -> Barrier:
     lines = _positional(text)
-    while lines and not lines[0].strip():
-        lines.pop(0)
     if len(lines) < 3:
         raise FormatError("barrier file needs a header, an A line and a B line")
     head = _ints(lines[0], "header")

@@ -1,11 +1,13 @@
-"""Incidence bipartite view of a hypergraph, and Y-toughness.
+"""Incidence bipartite view of a hypergraph.
 
 X-vertices stand for hyperedges, Y-vertices for hypergraph vertices,
 with x ~ y exactly when the hyperedge contains the vertex.  Strongly
 deleting a Y-set removes it together with every X-neighbor, which
 mirrors edge-destroying vertex deletion on the hypergraph side;
 Y-toughness is the toughness notion this induces, and it coincides with
-the hypergraph's toughness.
+the hypergraph's toughness, since every surviving X-vertex keeps all
+its Y-neighbors: it is `toughness(hypergraph_of(g))`, whose witness is
+Y-local.
 
 Global vertex ids (used by the criterion and barrier machinery) list X
 first: x_i has id i, y_j has id x_count + j.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .hypergraph import Hypergraph, ToughnessValue, toughness
+from .hypergraph import Hypergraph
 
 
 class BipartiteGraph:
@@ -97,14 +99,3 @@ def hypergraph_of(g: BipartiteGraph) -> Hypergraph:
             raise ValueError(
                 f"not hypergraph-representable: X-vertex {x} is isolated")
     return Hypergraph._canonical(g.y_count, g.neighbors)
-
-
-def y_toughness(g: BipartiteGraph, budget: int | None = None) -> ToughnessValue:
-    """Toughness over Y-cutsets under strong deletion: the minimum
-    |S| / c(G (-) S) over S inside Y leaving at least two components.
-    Every surviving X-vertex keeps all its Y-neighbors, so this is the
-    toughness of the represented hypergraph, and it is computed as
-    such; witness indices are Y-local (hypergraph vertex numbers).
-    Graphs with isolated X-vertices represent no hypergraph and are
-    rejected."""
-    return toughness(hypergraph_of(g), budget)

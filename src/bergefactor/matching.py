@@ -28,7 +28,6 @@ matching, then `complete_matching`, whose answer it does not need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -83,37 +82,17 @@ class GeneralGraph:
         return f"GeneralGraph({self.n}, {list(self.edges)})"
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges, stored sorted."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def make(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(tuple(sorted(tuple(sorted(p)) for p in pairs)))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def _is_matching(g: GeneralGraph, m: Matching) -> bool:
+def is_perfect(g: GeneralGraph, pairs: tuple[tuple[int, int], ...]) -> bool:
+    """True when the (smaller, larger) pairs cover every vertex of `g`.
+    Rejects pairs that are not a matching of `g` outright."""
     host = set(g.edges)
     used: set[int] = set()
-    for u, v in m.edges:
+    for u, v in pairs:
         if (u, v) not in host or u in used or v in used:
-            return False
+            raise ValueError("not a matching of the host graph")
         used.add(u)
         used.add(v)
-    return True
-
-
-def is_perfect(g: GeneralGraph, m: Matching) -> bool:
-    """True when `m` covers every vertex of `g`.  Rejects inputs that are
-    not matchings of `g` outright."""
-    if not _is_matching(g, m):
-        raise ValueError("not a matching of the host graph")
-    return 2 * len(m.edges) == g.n
+    return 2 * len(pairs) == g.n
 
 
 def _augment_from(roots: Sequence[int], adj: Sequence[tuple[int, ...] | None],
@@ -257,12 +236,6 @@ def _greedy(adj: tuple[tuple[int, ...], ...], match: list[int]) -> None:
                     break
 
 
-def _matching_of(match: list[int]) -> Matching:
-    # Read off the mate array, pairs come out as (smaller, larger) in
-    # ascending order, which is the order `Matching.make` would sort to.
-    return Matching(tuple((v, w) for v, w in enumerate(match) if v < w))
-
-
 def complete_matching(match: list[int],
                       adj: Sequence[tuple[int, ...] | None],
                       expand: Callable[[int], tuple[int, ...]] | None = None
@@ -299,9 +272,11 @@ def complete_matching(match: list[int],
     return True
 
 
-def max_matching(g: GeneralGraph) -> Matching:
-    """Maximum-cardinality matching, deterministic for a fixed input."""
+def max_matching(g: GeneralGraph) -> tuple[tuple[int, int], ...]:
+    """Maximum-cardinality matching, deterministic for a fixed input, as
+    its (smaller, larger) pairs in ascending order, read off the mate
+    array."""
     match = [-1] * g.n
     _greedy(g.adjacency, match)
     complete_matching(match, g.adjacency)
-    return _matching_of(match)
+    return tuple((v, w) for v, w in enumerate(match) if v < w)

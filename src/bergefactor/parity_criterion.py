@@ -158,10 +158,11 @@ def delta(g: BipartiteGraph, a: Iterable[int], b: Iterable[int],
     algorithm."""
     nx = g.x_count
     n_total = nx + g.y_count
+    a, b = tuple(a), tuple(b)
+    if not all(0 <= v < n_total for v in a + b):
+        raise ValueError(f"vertex id outside 0..{n_total - 1}")
     a_mask = mask_of(a)
     b_mask = mask_of(b)
-    if (a_mask | b_mask) >> n_total:
-        raise ValueError(f"vertex id outside 0..{n_total - 1}")
     if a_mask & b_mask:
         raise ValueError("A and B overlap")
     adjg = _global_adjacency(g)

@@ -22,11 +22,11 @@ from bergefactor import (
     find_2k_factor,
     gen_random_bipartite,
     gen_random_hypergraph,
+    hypergraph_of,
     incidence_graph,
     toughness,
     verify_berge_factor,
     verify_theorem,
-    y_toughness,
 )
 
 import oracles
@@ -50,11 +50,11 @@ def suite1_reports():
 
 
 def y_toughness_agrees(h, g):
-    """y_toughness of the incidence graph `g` of `h` matches both the
+    """The Y-toughness of the incidence graph `g` of `h` matches both the
     hypergraph toughness of `h` and the brute-force Y-toughness oracle,
-    in value and witness.  y_toughness is computed through `toughness`,
-    so only the oracle comparison is independent."""
-    tv = y_toughness(g)
+    in value and witness.  The Y-toughness is computed through
+    `toughness`, so only the oracle comparison is independent."""
+    tv = toughness(hypergraph_of(g))
     hv = toughness(h)
     ov = oracles.y_toughness_oracle(g.x_count, g.y_count, g.neighbors)
     return (tv.value, tv.witness) == (hv.value, hv.witness) == ov

@@ -320,16 +320,21 @@ def test_verify_barrier_requires_k(capsys, tmp_path, star_hg):
 
 
 def test_verify_barrier_rejects_wrong_delta(capsys, tmp_path, star_hg):
-    # Also the right delta with one component misclassified, and pairs
-    # that `delta` refuses: A and B overlapping, and an id past the graph.
+    # Also the right delta with one component misclassified or one
+    # component line repeated, and pairs that `delta` refuses: A and B
+    # overlapping, and an id past the graph or negative, in A or in B.
     f = tmp_path / "b.bar"
     for text, want in (
             ("-1 1 0\n3\n\nodd 2 0 4\nodd 2 1 5\nodd 2 2 6\n",
              "reject: recomputed delta -2 != stated -1\n"),
             ("-2 1 0\n3\n\nodd 2 0 4\neven 2 1 5\nodd 2 2 6\n",
              "reject: component classification mismatch\n"),
+            ("-2 1 0\n3\n\nodd 2 0 4\nodd 2 0 4\nodd 2 1 5\nodd 2 2 6\n",
+             "reject: component classification mismatch\n"),
             ("-2 1 1\n3\n3\n", "reject: A and B overlap\n"),
-            ("-2 1 0\n9\n\n", "reject: vertex id outside 0..6\n")):
+            ("-2 1 0\n9\n\n", "reject: vertex id outside 0..6\n"),
+            ("-2 1 0\n-1\n\n", "reject: vertex id outside 0..6\n"),
+            ("-2 0 1\n\n-1\n", "reject: vertex id outside 0..6\n")):
         f.write_text(text)
         assert run(capsys, "verify", star_hg, str(f), "-k", "1") == (
             1, want, "")

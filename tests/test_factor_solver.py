@@ -29,7 +29,6 @@ from bergefactor import (
     max_matching,
     no_scan_barrier,
     serialize_hg,
-    sparse_y_vertex,
     verify_2k_factor,
     verify_berge_factor,
 )
@@ -48,6 +47,13 @@ def _random_bipartite(rng, nx_hi=4, ny_hi=5):
         size = rng.randint(0, ny)
         rows.append(tuple(sorted(rng.sample(range(ny), size))))
     return BipartiteGraph(nx, ny, rows)
+
+
+def _sparse_y(g, spec):
+    # the Y-vertex y of the gadget exit, read off its B = {nx + y}; None
+    # past it, and on the parity exit, whose B is empty
+    found = factor_solver._no_scan_exit(g, spec)
+    return found[0][0] - g.x_count if found and found[0] else None
 
 
 # ---------------------------------------------------------------- gadget
@@ -119,7 +125,7 @@ def test_gadget_infeasible_low_degree():
     # the gadget is built past a sparse Y-vertex, whose copies stay exposed
     g = BipartiteGraph(1, 2, [(0,)])  # y1 has degree 0 < k
     spec = DegreeSpec(1)
-    assert sparse_y_vertex(g, spec) == 1
+    assert _sparse_y(g, spec) == 1
     gg = build_gadget(g, spec)
     assert gg.graph.n == 2 * 1 + 2 * 1 + 1 * 2
     assert 2 * len(max_matching(gg.graph)) < gg.n
@@ -135,7 +141,7 @@ def test_gadget_deficiency_past_sparse_y_vertex():
     for g in enumerate_bipartite_graphs(6):
         for k in (1, 2, 3):
             spec = DegreeSpec(k)
-            if sparse_y_vertex(g, spec) is None:
+            if _sparse_y(g, spec) is None:
                 continue
             gg = build_gadget(g, spec).graph
             got = gg.n - 2 * len(max_matching(gg))
@@ -155,7 +161,7 @@ def test_sparse_y_vertex_counts_only_selectable_neighbours():
     for g in enumerate_bipartite_graphs(6):
         deg = [len(ys) for ys in g.neighbors]
         for k in (1, 2, 3):
-            y = sparse_y_vertex(g, DegreeSpec(k))
+            y = _sparse_y(g, DegreeSpec(k))
             d2 = [sum(deg[x] > 1 for x in xs) for xs in g.y_neighbors]
             low = [j for j, xs in enumerate(g.y_neighbors) if len(xs) < k]
             want = low or [j for j, d in enumerate(d2) if d < k]
@@ -171,8 +177,8 @@ def test_sparse_y_vertex_counts_only_selectable_neighbours():
     h = Hypergraph(30, [(i, (i + 1) % 30) for i in range(30)]
                    + [(i,) for i in range(30)])
     g = incidence_graph(h)
-    assert sparse_y_vertex(g, DegreeSpec(2)) is None
-    assert sparse_y_vertex(g, DegreeSpec(3)) == 0
+    assert _sparse_y(g, DegreeSpec(2)) is None
+    assert _sparse_y(g, DegreeSpec(3)) == 0
     lines = []
     assert find_2k_factor(g, DegreeSpec(3), trace=lines.append) is None
     assert lines == ["gadget: Y-vertex 0 has 2 X-neighbours of degree >= 2 "
@@ -339,7 +345,7 @@ def test_greedy_restarts_leave_factor_less_hosts_as_the_first_pass(restarts):
     while len(hosts) < 60:
         g = _random_bipartite(rng, 8, 6)
         k = rng.choice((1, 2, 3))
-        if sparse_y_vertex(g, DegreeSpec(k)) is None and not (
+        if _sparse_y(g, DegreeSpec(k)) is None and not (
                 oracles.has_2k_factor(g.x_count, g.y_count, g.neighbors, k)):
             hosts.append((g, k))
     for i in range(30):
@@ -648,7 +654,7 @@ def test_trace_lines():
     for _ in range(300):
         g = _random_bipartite(rng, 8, 6)
         spec = DegreeSpec(rng.choice((1, 2, 3)))
-        if sparse_y_vertex(g, spec) is not None or spec.k * g.y_count % 2:
+        if _sparse_y(g, spec) is not None or spec.k * g.y_count % 2:
             continue
         lines.clear()
         find_2k_factor(g, spec, trace=lines.append)
@@ -779,7 +785,7 @@ def test_no_scan_barrier_agrees_with_the_scan():
     for g in enumerate_bipartite_graphs(6):
         for k in (1, 2, 3):
             spec = DegreeSpec(k)
-            y = sparse_y_vertex(g, spec)
+            y = _sparse_y(g, spec)
             br = no_scan_barrier(g, spec)
             assert (br is not None) == (y is not None
                                         or k * g.y_count % 2 == 1), (g, k)

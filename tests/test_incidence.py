@@ -12,7 +12,6 @@ from bergefactor import (
     hypergraph_of,
     incidence_graph,
     toughness,
-    y_toughness,
 )
 from bergefactor.families import cycle, star
 
@@ -72,11 +71,12 @@ def test_hypergraph_of_rejects_isolated_x():
 
 def test_y_toughness_equals_hypergraph_toughness():
     for h in [cycle(5), star(3), Hypergraph(4, [(0, 1, 2), (2, 3)])]:
-        assert y_toughness(incidence_graph(h)).value == toughness(h).value
+        assert toughness(hypergraph_of(incidence_graph(h))).value == (
+            toughness(h).value)
 
 
 def test_y_toughness_witness_is_y_local():
-    tv = y_toughness(incidence_graph(star(3)))
+    tv = toughness(hypergraph_of(incidence_graph(star(3))))
     assert tv.value == Fraction(1, 3)
     assert tv.witness == (0,)
 
@@ -91,7 +91,7 @@ def test_y_toughness_matches_oracle_random():
             size = rng.randint(1, ny)
             rows.append(tuple(sorted(rng.sample(range(ny), size))))
         g = BipartiteGraph(nx, ny, rows)
-        got = y_toughness(g)
+        got = toughness(hypergraph_of(g))
         val, wit = oracles.y_toughness_oracle(nx, ny, rows)
         assert got.value == val
         assert got.witness == wit
@@ -99,6 +99,6 @@ def test_y_toughness_matches_oracle_random():
 
 def test_y_toughness_rejects_isolated_x_and_budget():
     with pytest.raises(ValueError):
-        y_toughness(BipartiteGraph(1, 1, [()]))
+        toughness(hypergraph_of(BipartiteGraph(1, 1, [()])))
     with pytest.raises(BudgetExceededError):
-        y_toughness(incidence_graph(star(6)), budget=4)
+        toughness(hypergraph_of(incidence_graph(star(6))), budget=4)

@@ -6,9 +6,8 @@ from itertools import combinations
 import pytest
 
 from bergefactor import (BipartiteGraph, DegreeSpec, GeneralGraph, Hypergraph,
-                         Matching, build_gadget, complete_matching,
-                         find_2k_factor, incidence_graph, is_perfect, matching,
-                         max_matching)
+                         build_gadget, complete_matching, find_2k_factor,
+                         incidence_graph, is_perfect, matching, max_matching)
 from bergefactor.families import complete_bipartite, complete_graph, star
 
 import oracles
@@ -23,20 +22,20 @@ def test_graph_model():
         GeneralGraph(2, [(0, 2)])
 
 
-def test_matching_make_and_perfect():
+def test_is_perfect_on_pairs():
     g = GeneralGraph(4, [(0, 1), (2, 3), (1, 2)])
-    m = Matching.make([(1, 0), (3, 2)])
+    m = ((0, 1), (2, 3))
     assert len(m) == 2
     assert is_perfect(g, m)
-    assert not is_perfect(g, Matching.make([(1, 2)]))
+    assert not is_perfect(g, ((1, 2),))
 
 
 def test_is_perfect_rejects_foreign_edges():
     g = GeneralGraph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        is_perfect(g, Matching.make([(0, 2), (1, 3)]))
+        is_perfect(g, ((0, 2), (1, 3)))
     with pytest.raises(ValueError):
-        is_perfect(g, Matching.make([(0, 1), (1, 2)]))  # vertex reused
+        is_perfect(g, ((0, 1), (1, 2)))  # vertex reused
 
 
 def test_odd_cycle_matching():
@@ -64,7 +63,7 @@ def test_petersen_graph_has_perfect_matching():
 def test_max_matching_is_deterministic():
     g = GeneralGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
     first = max_matching(g)
-    assert all(max_matching(g).edges == first.edges for _ in range(5))
+    assert all(max_matching(g) == first for _ in range(5))
 
 
 def test_exhaustive_up_to_five_vertices():
@@ -78,9 +77,9 @@ def test_exhaustive_up_to_five_vertices():
             g = GeneralGraph(n, edges)
             m = max_matching(g)
             assert len(m) == oracles.max_matching_size(n, edges)
-            used = [v for e in m.edges for v in e]
+            used = [v for e in m for v in e]
             assert len(used) == len(set(used))
-            assert all(e in g.edges for e in m.edges)
+            assert all(e in g.edges for e in m)
 
 
 def test_random_up_to_ten_vertices():
@@ -97,15 +96,15 @@ def test_random_up_to_ten_vertices():
 
 
 def _pairs(match):
-    # the mate array's pairs as a Matching
-    return Matching.make((v, w) for v, w in enumerate(match) if v < w)
+    # the mate array's pairs, (smaller, larger) in ascending order
+    return tuple((v, w) for v, w in enumerate(match) if v < w)
 
 
 def test_perfect_matching_rejects_a_start_that_is_no_matching():
     g = GeneralGraph(4, [(0, 1), (1, 2), (2, 3)])
     match = [1, 0, -1, -1]
     assert complete_matching(match, g.adjacency)
-    assert _pairs(match).edges == ((0, 1), (2, 3))
+    assert _pairs(match) == ((0, 1), (2, 3))
     for start in ([1, -1, -1, -1],  # not an involution
                   [2, -1, 0, -1],  # 0-2 is no edge
                   [0, -1, -1, -1],  # a loop
@@ -213,7 +212,7 @@ def test_trees_meet_between_non_base_blossom_vertices(kernel_calls):
     assert complete_matching(match, g.adjacency)
     pm = _pairs(match)
     assert is_perfect(g, pm)
-    assert pm.edges == ((0, 4), (1, 6), (2, 3), (5, 9), (7, 8))
+    assert pm == ((0, 4), (1, 6), (2, 3), (5, 9), (7, 8))
     assert kernel_calls == [(2, 2)]
 
 

@@ -105,6 +105,10 @@ def test_delta_rejects_overlap_and_range():
         delta(g, [0], [0], spec)
     with pytest.raises(ValueError):
         delta(g, [99], [], spec)
+    # a negative id is out of range too, in A or in B
+    for a, b in (([-1], []), ([], [0, -1])):
+        with pytest.raises(ValueError, match=r"vertex id outside 0\.\.7"):
+            delta(g, a, b, spec)
 
 
 def test_delta_star_barrier_value():

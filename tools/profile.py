@@ -16,11 +16,11 @@ the `src/` tree next to this script.
 
 `matcher` (any workload; C = 150) follows `find_2k_factor` on each
 instance.  It leaves out the hosts that `find_2k_factor` answers
-before any selection, those that `sparse_y_vertex` answers and those
-with k|Y| odd, runs `greedy_selection` on the rest and counts those
-whose selection is already a factor, which are answered without a
-gadget, and among them those that a restart answered, which it tells
-by wrapping `factor_solver._restart_order`.  The wrapper also counts
+before any selection, those that `factor_solver._no_scan_exit` answers
+(a sparse Y-vertex or k|Y| odd), runs `greedy_selection` on the rest
+and counts those whose selection is already a factor, which are
+answered without a gadget, and among them those that a restart
+answered, which it tells by wrapping `factor_solver._restart_order`.  The wrapper also counts
 the Y-vertices that each restart visits, after the first pass's |Y|.
 On each other host it lays out the split-incidence gadget from the
 selection and runs the matcher:
@@ -85,8 +85,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from bergefactor import factor_solver, hypergraph, matching  # noqa: E402
-from bergefactor.factor_solver import (build_gadget, greedy_selection,  # noqa: E402
-                                       sparse_y_vertex)
+from bergefactor.factor_solver import build_gadget, greedy_selection  # noqa: E402
 from bergefactor.formats import parse_big, parse_hg  # noqa: E402
 from bergefactor.incidence import incidence_graph  # noqa: E402
 from bergefactor.parity_criterion import DegreeSpec, deficiency_scan  # noqa: E402
@@ -118,8 +117,7 @@ def matcher(insts) -> Profile:
             host = (incidence_graph(parse_hg(inst.text))
                     if inst.suffix == ".hg" else parse_big(inst.text))
             spec = DegreeSpec(inst.k)
-            if (sparse_y_vertex(host, spec) is not None
-                    or inst.k * host.y_count % 2):
+            if factor_solver._no_scan_exit(host, spec) is not None:
                 continue
             runs.clear()
             selection, unmet = greedy_selection(host, spec)
